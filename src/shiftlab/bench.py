@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from . import mea
 from .adapt import (
     AdaptationConfig,
+    _ensemble_accuracy,
     train_expanded_base,
     train_msfda,
     train_sfda,
@@ -99,26 +100,38 @@ class ScenarioSpec:
             raise ParameterError("expanded-base requires expanded_visible domains")
 
 
+def _data_seed(seed: int, j: int) -> int:
+    """Generator seed of the j-th source domain of a scenario run."""
+    return seed * 1000 + j + 1
+
+
 def _build_domains(spec: ScenarioSpec, seed: int):
     datasets = {}
     for j, (domain_id, recipe) in enumerate(spec.sources.items()):
-        datasets[domain_id] = recipe.build(seed * 1000 + j + 1, domain_id)
+        datasets[domain_id] = recipe.build(_data_seed(seed, j), domain_id)
     target_eval = spec.target.build(seed * 1000 + 997, "target")
     return datasets, target_eval
 
 
-def _train_source_models(spec: ScenarioSpec, datasets, seed: int):
+def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
+    """Source model per domain, taken from `memo` or trained and added to it.
+
+    A source model is a pure function of the key below, so specs that share
+    a memo train each distinct source once. The key holds the seed, so
+    concurrent seeds never write the same entry.
+    """
     models = {}
     base = spec.source_config if spec.source_config is not None else spec.config
     for j, domain_id in enumerate(datasets):
         cfg = replace(base, iterations=spec.source_iterations, seed=seed * 100 + j)
-        models[domain_id] = train_source(datasets[domain_id], cfg).model
+        key = (domain_id, spec.sources[domain_id], _data_seed(seed, j), astuple(cfg))
+        if key not in memo:
+            memo[key] = train_source(datasets[domain_id], cfg).model
+        models[domain_id] = memo[key]
     return models
 
 
 def _evaluation_record(run_id, scenario, models, weights, eval_set) -> ExperimentRecord:
-    from .adapt import _ensemble_accuracy
-
     acc = _ensemble_accuracy(models, weights, eval_set)
     rec = ExperimentRecord(run_id=run_id, scenario=scenario)
     rec.rows.append(TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc))
@@ -126,14 +139,25 @@ def _evaluation_record(run_id, scenario, models, weights, eval_set) -> Experimen
     return rec
 
 
-def run_scenario(spec: ScenarioSpec) -> list:
-    """One ExperimentRecord per seed, deterministic per seed."""
+def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
+    """One ExperimentRecord per seed, deterministic per seed.
+
+    `source_models` is an optional memo of trained source models, shared by
+    the specs of one suite call so that each distinct source is trained
+    once. The models in it are shared, never modified: trainers adapt
+    clones. The records are the same with or without it.
+    """
+    memo = {} if source_models is None else source_models
 
     def one(seed: int) -> ExperimentRecord:
         try:
             datasets, target_eval = _build_domains(spec, seed)
             target = target_eval.unlabeled()
-            models = _train_source_models(spec, datasets, seed)
+            # uda trains its own model from the first source's data
+            models = (
+                {} if spec.paradigm == "uda"
+                else _train_source_models(spec, datasets, seed, memo)
+            )
             model_list = list(models.values())
             cfg = replace(spec.config, seed=seed)
             run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
@@ -233,8 +257,9 @@ def convergence_suite(seeds, out_dir=None) -> dict:
         "moons30", "uda", source, target, list(seeds),
         config=replace(ADAPT_CONFIG, iterations=2000), source_config=SOURCE_CONFIG,
     )
-    sfda_records = run_scenario(sfda_spec)
-    uda_records = run_scenario(uda_spec)
+    source_models = {}
+    sfda_records = run_scenario(sfda_spec, source_models)
+    uda_records = run_scenario(uda_spec, source_models)
 
     per_seed = []
     for s, rs, ru in zip(seeds, sfda_records, uda_records):
@@ -283,10 +308,12 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
         sources=sources, target=target, seeds=list(seeds),
         config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
     )
-    uniform = run_scenario(ScenarioSpec("negxfer", "msfda-uniform", **common))
-    mea_runs = run_scenario(ScenarioSpec("negxfer", "msfda-mea", **common))
+    source_models = {}
+    uniform = run_scenario(ScenarioSpec("negxfer", "msfda-uniform", **common), source_models)
+    mea_runs = run_scenario(ScenarioSpec("negxfer", "msfda-mea", **common), source_models)
     expanded = run_scenario(
-        ScenarioSpec("negxfer", "expanded-base", expanded_visible=["srcC"], **common)
+        ScenarioSpec("negxfer", "expanded-base", expanded_visible=["srcC"], **common),
+        source_models,
     )
     adv_index = 2  # srcC is the third model
 
@@ -344,8 +371,6 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
         cfg = replace(ADAPT_CONFIG, seed=seed)
         src_model = train_source(src, replace(SOURCE_CONFIG, iterations=300, seed=seed)).model
         out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
-        from .adapt import _ensemble_accuracy
-
         acc_train = _ensemble_accuracy(out.models, out.weights, tr)
         acc_test = _ensemble_accuracy(out.models, out.weights, te)
         gap = abs(acc_train - acc_test)
@@ -389,6 +414,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
     paradigms = ("source-only", "msfda-uniform", "msfda-mea")
     records = []
     accs = {}  # (paradigm, scenario) -> list over seeds
+    source_models = {}
     for rot in rotations:
         name = f"moons{int(rot)}"
         for paradigm in paradigms:
@@ -397,7 +423,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
                 config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
                 visibility=visibility,
             )
-            runs = run_scenario(spec)
+            runs = run_scenario(spec, source_models)
             records.extend(runs)
             accs[(paradigm, name)] = [r.final_accuracy() for r in runs]
 

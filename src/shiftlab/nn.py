@@ -69,12 +69,6 @@ class Gradient:
     extractor: list[tuple[np.ndarray, np.ndarray]]
     classifier: tuple[np.ndarray, np.ndarray]
 
-    def scaled(self, factor: float) -> "Gradient":
-        return Gradient(
-            [(w * factor, b * factor) for w, b in self.extractor],
-            (self.classifier[0] * factor, self.classifier[1] * factor),
-        )
-
     def add_(self, other: "Gradient") -> "Gradient":
         for (w, b), (ow, ob) in zip(self.extractor, other.extractor):
             w += ow

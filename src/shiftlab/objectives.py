@@ -122,11 +122,30 @@ class KernelSpec:
             return np.asarray(self.bandwidths, dtype=np.float64)
         pooled = np.vstack([X, Y])
         sq = _sq_dists(pooled, pooled)
-        off_diag = sq[~np.eye(len(pooled), dtype=bool)]
-        sigma2 = float(np.median(off_diag)) if off_diag.size else 1.0
+        # sq is exactly symmetric (A @ A.T is computed as a symmetric product),
+        # so its off-diagonal is the strict upper triangle with every value
+        # doubled, and both have the same median, bit for bit.
+        upper = sq[np.triu(np.ones(sq.shape, dtype=bool), 1)]
+        sigma2 = _median(upper) if upper.size else 1.0
         if sigma2 <= 0:
             sigma2 = 1.0
         return np.array([0.5 * sigma2, sigma2, 2.0 * sigma2])
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array, bit for bit.
+
+    np.median partitions around both middle positions (and the maximum, to
+    find NaNs); numpy partitions around a single position several times
+    faster, and the lower middle value is then the maximum of the lower part.
+    """
+    if np.isnan(values).any():
+        return float("nan")
+    mid = values.size // 2
+    part = np.partition(values, mid)
+    if values.size % 2:
+        return float(part[mid])
+    return float(np.mean([part[:mid].max(), part[mid]]))
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from shiftlab import bench
+from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
     MIN_TARGET_N,
     MoonsRecipe,
@@ -116,6 +118,57 @@ class TestRunScenario:
         b = run_scenario(spec)[0]
         assert [r.loss_total for r in a.rows] == [r.loss_total for r in b.rows]
         assert a.final_accuracy() == b.final_accuracy()
+
+
+def _params(model):
+    layers = [*model.extractor, model.classifier]
+    return np.concatenate([p.ravel() for layer in layers for p in (layer.weight, layer.bias)])
+
+
+def _deterministic_part(record):
+    return [row.csv().rsplit(",", 1)[0] for row in record.rows], record.summary
+
+
+class TestSourceMemo:
+    def test_shared_memo_trains_each_source_once_and_changes_nothing(self, monkeypatch):
+        common = dict(
+            sources={"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation=15.0)},
+            target=MoonsRecipe(n=60, rotation=20.0), seeds=[0, 1],
+            config=AdaptationConfig(iterations=5, learning_rate=0.01), source_iterations=5,
+        )
+        only = ScenarioSpec("tiny", "source-only", **common)
+        msfda = ScenarioSpec("tiny", "msfda-uniform", **common)
+        unshared = [run_scenario(only), run_scenario(msfda)]
+
+        calls = []
+        train_source = bench.train_source
+
+        def counting(ds, cfg, *args, **kwargs):
+            calls.append((ds.domain_id, cfg.seed))
+            return train_source(ds, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "train_source", counting)
+        memo = {}
+        shared = [run_scenario(only, memo)]
+        before = {key: _params(model) for key, model in memo.items()}
+        shared.append(run_scenario(msfda, memo))
+
+        assert sorted(calls) == [("a", 0), ("a", 100), ("b", 1), ("b", 101)]
+        assert len(memo) == 4
+        for runs, reference in zip(shared, unshared):
+            assert [_deterministic_part(r) for r in runs] == [
+                _deterministic_part(r) for r in reference
+            ]
+        for key, model in memo.items():
+            assert np.array_equal(_params(model), before[key]), key
+
+    def test_uda_trains_no_source_model(self, monkeypatch):
+        monkeypatch.setattr(bench, "train_source", None)  # any call would fail
+        spec = ScenarioSpec(
+            "tiny", "uda", {"a": MoonsRecipe(n=60)}, MoonsRecipe(n=60, rotation=20.0), [0],
+            config=AdaptationConfig(iterations=5, learning_rate=0.01),
+        )
+        assert run_scenario(spec)[0].summary["paradigm"] == "uda"
 
 
 class TestSuiteGuards:

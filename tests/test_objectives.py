@@ -9,6 +9,7 @@ from shiftlab.nn import init_model, forward
 from shiftlab.objectives import (
     EPS,
     KernelSpec,
+    _median,
     cross_entropy,
     cross_entropy_probs_grad,
     diversity_loss,
@@ -20,6 +21,7 @@ from shiftlab.objectives import (
     mmd_rbf,
     mmd_rbf_grad,
     msfda_loss,
+    _sq_dists,
     softmax_probs_to_logits_grad,
     weighted_ensemble_probs,
 )
@@ -180,6 +182,45 @@ class TestMmd:
         s2 = np.median(sq[~np.eye(len(pooled), dtype=bool)])
         expected = naive_mmd(X, Y, [0.5 * s2, s2, 2.0 * s2])
         assert mmd_rbf(X, Y) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (7, 3), (64, 64)])
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_median_heuristic_is_exact(self, n, m, d, ties):
+        # bit-equal to the median over the full pooled off-diagonal of the
+        # same squared-distance computation, not merely close to it
+        rng = np.random.default_rng([n, m, d, ties])
+        for _ in range(10):
+            X = np.tanh(rng.normal(size=(n, d)))
+            Y = np.tanh(rng.normal(size=(m, d)) + 0.5)
+            if ties:
+                X[n // 2 :] = X[0]
+                Y[: (m + 1) // 2] = X[-1]
+            pooled = np.vstack([X, Y])
+            sq = _sq_dists(pooled, pooled)
+            s2 = float(np.median(sq[~np.eye(n + m, dtype=bool)]))
+            s2 = s2 if s2 > 0 else 1.0
+            assert KernelSpec().resolve(X, Y).tolist() == [0.5 * s2, s2, 2.0 * s2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64, st.integers(1, 40),
+            elements=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(allow_nan=True)),
+        )
+    )
+    def test_median_equals_numpy_median(self, values):
+        expected = float(np.median(values))
+        got = _median(values.copy())
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+    def test_median_equals_numpy_median_on_large_arrays(self):
+        # the lower middle value must come from the whole lower part: numpy's
+        # partition leaves it next to the pivot only most of the time
+        rng = np.random.default_rng(12)
+        for size in 2 * rng.integers(250, 1000, size=300):
+            values = rng.random(size)
+            assert _median(values) == np.median(values)
 
     def test_shift_increases_mmd(self):
         rng = np.random.default_rng(10)
