@@ -28,6 +28,7 @@ from .objectives import (
     cross_entropy_probs_grad,
     im_loss,
     im_probs_grad,
+    mix_probs,
     mmd_rbf,
     mmd_rbf_grad,
     softmax_probs_to_logits_grad,
@@ -94,19 +95,10 @@ def _stream(n: int, cfg: AdaptationConfig, stream_id: int) -> _BatchStream:
     return _BatchStream(n, cfg.batch_size, np.random.default_rng([cfg.seed, stream_id]))
 
 
-def _ensemble_probs(models, weights, X) -> np.ndarray:
-    out = None
-    for w, model in zip(weights, models):
-        if w == 0.0:
-            continue
-        p = w * forward(model, X)[2]
-        out = p if out is None else out + p
-    return out
-
-
 def _ensemble_accuracy(models, weights, eval_set: Dataset) -> float:
-    probs = _ensemble_probs(models, weights, eval_set.features)
-    return float(np.mean(probs.argmax(axis=1) == eval_set.labels))
+    X = eval_set.features
+    probs = {i: forward(m, X).probs for i, m in enumerate(models) if weights[i] != 0.0}
+    return float(np.mean(mix_probs(weights, probs).argmax(axis=1) == eval_set.labels))
 
 
 def _should_eval(step: int, iterations: int) -> bool:
@@ -125,10 +117,10 @@ def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = 
     for step in range(cfg.iterations):
         idx = stream.next()
         xb, yb = ds.features[idx], ds.labels[idx]
-        _, _, probs = forward(model, xb)
-        ce = cross_entropy(probs, yb)
-        dlogits = softmax_probs_to_logits_grad(probs, cross_entropy_probs_grad(probs, yb))
-        sgd_step(model, backward(model, xb, dlogits), opt)
+        tape = forward(model, xb)
+        ce = cross_entropy(tape.probs, yb)
+        dlogits = softmax_probs_to_logits_grad(tape.probs, cross_entropy_probs_grad(tape.probs, yb))
+        sgd_step(model, backward(model, tape, dlogits), opt)
         acc = None
         if eval_set is not None and _should_eval(step, cfg.iterations):
             acc = _ensemble_accuracy([model], [1.0], eval_set)
@@ -167,18 +159,17 @@ def train_uda(
     for step in range(cfg.iterations):
         idx = src_stream.next()
         xb, yb = source.features[idx], source.labels[idx]
-        feat_s, _, probs = forward(model, xb)
-        ce = cross_entropy(probs, yb)
-        dlogits = softmax_probs_to_logits_grad(probs, cross_entropy_probs_grad(probs, yb))
+        tape_s = forward(model, xb)
+        ce = cross_entropy(tape_s.probs, yb)
+        dlogits = softmax_probs_to_logits_grad(tape_s.probs, cross_entropy_probs_grad(tape_s.probs, yb))
         mmd_value = 0.0
         if lam > 0:
-            tb = target.features[tgt_stream.next()]
-            feat_t = forward(model, tb)[0]
-            mmd_value, gx, gy = mmd_rbf_grad(feat_s, feat_t)
-            grad = backward(model, xb, dlogits, lam * gx)
-            grad.add_(backward(model, tb, loss_grad_on_features=lam * gy))
+            tape_t = forward(model, target.features[tgt_stream.next()])
+            mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
+            grad = backward(model, tape_s, dlogits, lam * gx)
+            grad.add_(backward(model, tape_t, dfeat=lam * gy))
         else:
-            grad = backward(model, xb, dlogits)
+            grad = backward(model, tape_s, dlogits)
         sgd_step(model, grad, opt)
         acc = None
         if _should_eval(step, cfg.iterations):
@@ -186,8 +177,8 @@ def train_uda(
                 acc = _ensemble_accuracy([model], [1.0], eval_set)
             if lam > 0:
                 # diagnostic: full-dataset alignment, not the per-batch estimate
-                fs = forward(model, source.features)[0]
-                ft = forward(model, target.features)[0]
+                fs = forward(model, source.features).features
+                ft = forward(model, target.features).features
                 mmd_value = mmd_rbf(fs, ft)
         record.rows.append(
             TrajectoryRow(
@@ -220,8 +211,12 @@ def _ensemble_pseudo_labels(models, weights, X) -> tuple[np.ndarray, list]:
     reassigns.
     """
     active = [(i, w) for i, w in enumerate(weights) if w != 0.0]
-    feats = {i: forward(models[i], X)[0] for i, _ in active}
-    probs = _ensemble_probs(models, weights, X)
+    feats, member_probs = {}, {}
+    for i, _ in active:
+        tape = forward(models[i], X)
+        feats[i], member_probs[i] = tape.features, tape.probs
+    del tape  # keep features and probs only, not the full-dataset activations
+    probs = mix_probs(weights, member_probs)
     k = probs.shape[1]
 
     centroids = {}
@@ -270,6 +265,7 @@ def _adapt_loop(
     for m in models[1:]:
         if m.num_classes != k:
             raise ParameterError("all models must share num_classes")
+    active = [i for i, w in enumerate(weights) if w != 0.0]
     models = [m.clone() for m in models]
     opts = [init_optimizer(m, cfg.learning_rate, cfg.momentum) for m in models]
     stream = _stream(target.n, cfg, 17)
@@ -288,14 +284,8 @@ def _adapt_loop(
         idx = stream.next()
         xb = target.features[idx]
 
-        per_model = {}  # i -> (probs_i on xb)
-        ens = None
-        for i, w in enumerate(weights):
-            if w == 0.0:
-                continue
-            per_model[i] = forward(models[i], xb)[2]
-            contrib = w * per_model[i]
-            ens = contrib if ens is None else ens + contrib
+        tapes = {i: forward(models[i], xb) for i in active}
+        ens = mix_probs(weights, {i: t.probs for i, t in tapes.items()})
 
         im = im_loss(ens)
         dprobs = im_probs_grad(ens)
@@ -306,9 +296,8 @@ def _adapt_loop(
             dprobs = dprobs + cfg.beta_pseudo * cross_entropy_probs_grad(ens, pl[idx])
 
         grads = {
-            i: backward(models[i], xb, softmax_probs_to_logits_grad(per_model[i], w * dprobs))
-            for i, w in enumerate(weights)
-            if w != 0.0
+            i: backward(models[i], t, softmax_probs_to_logits_grad(t.probs, weights[i] * dprobs))
+            for i, t in tapes.items()
         }
 
         vis_ce_value = 0.0
@@ -318,28 +307,25 @@ def _adapt_loop(
             for vs, vstream in zip(visible_sources, vs_streams):
                 vidx = vstream.next()
                 xs, ys = vs.features[vidx], vs.labels[vidx]
-                per_model_s = {i: forward(models[i], xs)[2] for i in grads}
-                ens_s = sum(weights[i] * per_model_s[i] for i in grads)
+                tapes_s = {i: forward(models[i], xs) for i in active}
+                ens_s = mix_probs(weights, {i: t.probs for i, t in tapes_s.items()})
                 vce = cross_entropy(ens_s, ys)
                 vis_ce_value += scale * vce.value
                 dprobs_s = scale * cross_entropy_probs_grad(ens_s, ys)
-                for i in grads:
-                    dlog = softmax_probs_to_logits_grad(per_model_s[i], weights[i] * dprobs_s)
+                for i, ts in tapes_s.items():
+                    dlog = softmax_probs_to_logits_grad(ts.probs, weights[i] * dprobs_s)
                     if mode == "ce+mmd" and lam > 0:
-                        fs = forward(models[i], xs)[0]
-                        ft = forward(models[i], xb)[0]
-                        mv, gs, gt = mmd_rbf_grad(fs, ft)
+                        mv, gs, gt = mmd_rbf_grad(ts.features, tapes[i].features)
                         mmd_value += scale * weights[i] * mv
-                        grads[i].add_(backward(models[i], xs, dlog, lam * scale * weights[i] * gs))
-                        grads[i].add_(
-                            backward(models[i], xb, loss_grad_on_features=lam * scale * weights[i] * gt)
-                        )
+                        grads[i].add_(backward(models[i], ts, dlog, lam * scale * weights[i] * gs))
+                        grads[i].add_(backward(models[i], tapes[i], dfeat=lam * scale * weights[i] * gt))
                     else:
-                        grads[i].add_(backward(models[i], xs, dlog))
+                        grads[i].add_(backward(models[i], ts, dlog))
 
         for i, g in grads.items():
             g.zero_classifier_()  # classifier stays the source hypothesis
             sgd_step(models[i], g, opts[i])
+        tapes = tapes_s = None  # free the batch tapes before the full-dataset passes
 
         acc = None
         if eval_set is not None and _should_eval(step, cfg.iterations):

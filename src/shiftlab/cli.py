@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bench, mea
 from .adapt import (
+    EVAL_INTERVAL,
     AdaptationConfig,
     train_expanded_base,
     train_msfda,
@@ -26,7 +27,7 @@ from .adapt import (
 )
 from .datagen import ShiftSpec, gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
 from .errors import FormatError, NumericError, ParameterError, ShiftLabError
-from .nn import load_model, save_model
+from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
 from .records import CSV_HEADER
 
 EXIT_OK = 0
@@ -84,27 +85,19 @@ def _cfg_from_args(args) -> AdaptationConfig:
         file_cfg = read_config(args.config).get("adapt", {})
         cfg = _apply_config(cfg, file_cfg)
     overrides = {}
-    for key in (
-        "iterations", "batch_size", "learning_rate", "momentum", "lambda_uda",
-        "lambda_mea", "beta_pseudo", "pseudo_refresh", "seed",
-    ):
-        v = getattr(args, key, None)
+    for f in fields(AdaptationConfig):
+        v = getattr(args, f.name, None)
         if v is not None:
-            overrides[key] = v
+            overrides[f.name] = v
     return replace(cfg, **overrides)
 
 
 def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file with [adapt] section")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--lambda-uda", dest="lambda_uda", type=float)
-    p.add_argument("--lambda-mea", dest="lambda_mea", type=float)
-    p.add_argument("--beta-pseudo", dest="beta_pseudo", type=float)
-    p.add_argument("--pseudo-refresh", dest="pseudo_refresh", type=int)
-    p.add_argument("--seed", type=int)
+    defaults = AdaptationConfig()
+    for f in fields(AdaptationConfig):
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=type(getattr(defaults, f.name)))
 
 
 def cmd_gen(args) -> int:
@@ -140,17 +133,22 @@ def _load_weights_arg(args, models, model_ids, target, cfg):
         return np.full(len(models), 1.0 / len(models))
     if args.weights == "mea":
         visible = _parse_visible(args)
-        visibility = {d: mea.DATA_VISIBLE for d in visible}
-        for mid in model_ids:
-            visibility.setdefault(mid, mea.MODEL_ONLY)
         est, _ = mea.estimate(
-            models, mea.VisibilitySpec(visibility), visible, target, cfg.lambda_mea
+            models, _visibility(visible, model_ids), visible, target, cfg.lambda_mea
         )
         return est.w_final
     est = mea.parse_weights(Path(args.weights).read_text())
     if len(est.w_final) != len(models):
         raise ParameterError("weight file length does not match the number of models")
     return est.w_final
+
+
+def _visibility(visible: dict, model_ids: list) -> mea.VisibilitySpec:
+    """Visible datasets' domains share data; every other model id shares its model only."""
+    modes = {d: mea.DATA_VISIBLE for d in visible}
+    for mid in model_ids:
+        modes.setdefault(mid, mea.MODEL_ONLY)
+    return mea.VisibilitySpec(modes)
 
 
 def _parse_visible(args) -> dict:
@@ -229,13 +227,8 @@ def cmd_estimate(args) -> int:
     models = [load_model(p) for p in args.model]
     ids = [m.meta.get("domain_id", str(i)) for i, m in enumerate(models)]
     visible = _parse_visible(args)
-    visibility = {d: mea.DATA_VISIBLE for d in visible}
-    for mid in ids:
-        visibility.setdefault(mid, mea.MODEL_ONLY)
     target = load_dataset(args.target).unlabeled()
-    est, prov = mea.estimate(
-        models, mea.VisibilitySpec(visibility), visible, target, args.lam
-    )
+    est, prov = mea.estimate(models, _visibility(visible, ids), visible, target, args.lam)
     Path(args.out).write_text(mea.format_weights(est, ids), encoding="ascii")
     if args.log:
         Path(args.log).write_text(mea.format_provenance(est, prov, ids), encoding="ascii")
@@ -269,38 +262,42 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_defaults(_args) -> int:
+def _defaults() -> dict:
+    """Every built-in default: section -> [(name, value, note)]."""
     cfg = AdaptationConfig()
-    print("[adapt]")
-    for f in fields(AdaptationConfig):
-        print(f"{f.name} = {getattr(cfg, f.name)}")
-    print()
-    print("[model]")
-    print("hidden = 64")
-    print("depth = 2")
-    print("activation = tanh")
-    print("init = uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero bias")
-    print()
-    print("[bench]")
-    print(f"convergence_window = {bench.DEFAULT_WINDOW}  # logged evaluations")
-    print(f"convergence_tolerance = {bench.DEFAULT_TOLERANCE}")
-    print("eval_interval = 10  # iterations between accuracy evaluations")
-    print("env SHIFTLAB_THREADS = 1")
+    return {
+        "adapt": [(f.name, getattr(cfg, f.name), "") for f in fields(AdaptationConfig)],
+        "model": [
+            ("hidden", DEFAULT_HIDDEN, ""),
+            ("depth", DEFAULT_DEPTH, ""),
+            ("activation", "tanh", ""),
+            ("init", "uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) with zero bias", ""),
+        ],
+        "bench": [
+            ("convergence_window", bench.DEFAULT_WINDOW, "logged evaluations"),
+            ("convergence_tolerance", bench.DEFAULT_TOLERANCE, ""),
+            ("eval_interval", EVAL_INTERVAL, "iterations between accuracy evaluations"),
+        ],
+        "env": [("SHIFTLAB_THREADS", 1, "")],
+    }
+
+
+def cmd_defaults(_args) -> int:
+    blocks = []
+    for section, entries in _defaults().items():
+        lines = [f"[{section}]"]
+        lines += [f"{k} = {v}" + (f"  # {note}" if note else "") for k, v, note in entries]
+        blocks.append("\n".join(lines))
+    print("\n\n".join(blocks))
     return EXIT_OK
 
 
 def _defaults_epilog() -> str:
-    cfg = AdaptationConfig()
-    adapt = "  ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(AdaptationConfig))
-    return (
-        "defaults:\n"
-        f"  [adapt]  {adapt}\n"
-        "  [model]  hidden=64  depth=2  activation=tanh  "
-        "init=uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) with zero bias\n"
-        f"  [bench]  convergence_window={bench.DEFAULT_WINDOW} (logged evaluations)  "
-        f"convergence_tolerance={bench.DEFAULT_TOLERANCE}  eval_interval=10\n"
-        "  [env]    SHIFTLAB_THREADS=1\n"
-    )
+    lines = ["defaults:"]
+    for section, entries in _defaults().items():
+        items = "  ".join(f"{k}={v}" + (f" ({note})" if note else "") for k, v, note in entries)
+        lines.append(f"  {f'[{section}]':<9}{items}")
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

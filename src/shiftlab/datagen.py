@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 
-SHIFT_KINDS = ("rotation", "translation", "label-prior", "label-permutation")
+SHIFT_KINDS = ("rotation", "translation")
 
 DATASET_MAGIC = "#shiftlab-dataset v1"
 
@@ -66,7 +66,7 @@ class ShiftSpec:
     """A single controllable distribution shift applied at generation time."""
 
     kind: str
-    magnitude: float | np.ndarray = 0.0
+    magnitude: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,10 +76,6 @@ class ShiftSpec:
             m = float(self.magnitude)
             if not (0.0 <= m < 360.0):
                 raise ParameterError(f"rotation magnitude must be in [0, 360), got {m}")
-        if self.kind == "label-prior":
-            p = np.asarray(self.magnitude, dtype=np.float64)
-            if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-                raise ParameterError("label-prior magnitude must be a probability vector")
 
 
 def _rotate(points: np.ndarray, degrees: float, center: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import ExclusionError, ParameterError
-from .nn import SourceModel, forward
+from .nn import SourceModel, accuracy, forward
 
 DATA_VISIBLE = "data-visible"
 MODEL_ONLY = "model-only"
@@ -71,11 +71,6 @@ def _check_simplex(v: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} must be non-negative and sum to 1, got {v}")
 
 
-def _domain_accuracy(model: SourceModel, ds: Dataset) -> float:
-    probs = forward(model, ds.features)[2]
-    return float(np.mean(probs.argmax(axis=1) == ds.labels))
-
-
 def proxy_accuracy(
     model: SourceModel, proxies: list[Dataset], provenance: list | None = None
 ) -> float:
@@ -94,7 +89,7 @@ def proxy_accuracy(
             raise ExclusionError(
                 f"model trained on {own!r} cannot be scored on its own training domain"
             )
-        acc = _domain_accuracy(model, ds)
+        acc = accuracy(model, ds.features, ds.labels)
         accs.append(acc)
         if provenance is not None:
             provenance.append(
@@ -141,7 +136,7 @@ def confidence_weights(
         raise ParameterError("target dataset is empty")
     conf = []
     for model in models:
-        probs = forward(model, target.features)[2]
+        probs = forward(model, target.features).probs
         c = float(probs.max(axis=1).mean())
         conf.append(c)
         if provenance is not None:
@@ -189,6 +184,18 @@ def _fmt_vec(v: np.ndarray | None) -> str:
     return " ".join(format(x, ".17g") for x in v)
 
 
+def _estimate_lines(est: WeightEstimate) -> list:
+    """The lambda/fallback/vector tail shared by weights files and provenance logs."""
+    return [
+        f"lambda {format(est.lam, '.17g')}",
+        f"fallback {str(est.fallback).lower()}",
+        "w_s " + _fmt_vec(est.w_s),
+        "w_t " + _fmt_vec(est.w_t),
+        "w_raw " + _fmt_vec(est.w_raw),
+        "w_final " + _fmt_vec(est.w_final),
+    ]
+
+
 def format_provenance(est: WeightEstimate, provenance: list, model_ids: list) -> str:
     """Render the provenance log in its documented text schema."""
     lines = [PROVENANCE_MAGIC]
@@ -204,25 +211,13 @@ def format_provenance(est: WeightEstimate, provenance: list, model_ids: list) ->
                 f"confidence model={rec['model']} "
                 f"confidence={format(rec['confidence'], '.17g')}"
             )
-    lines.append(f"lambda {format(est.lam, '.17g')}")
-    lines.append(f"fallback {str(est.fallback).lower()}")
-    lines.append("w_s " + _fmt_vec(est.w_s))
-    lines.append("w_t " + _fmt_vec(est.w_t))
-    lines.append("w_raw " + _fmt_vec(est.w_raw))
-    lines.append("w_final " + _fmt_vec(est.w_final))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _estimate_lines(est)) + "\n"
 
 
 def format_weights(est: WeightEstimate, model_ids: list) -> str:
     lines = [WEIGHTS_MAGIC]
     lines.append("models " + ",".join(model_ids))
-    lines.append(f"lambda {format(est.lam, '.17g')}")
-    lines.append(f"fallback {str(est.fallback).lower()}")
-    lines.append("w_s " + _fmt_vec(est.w_s))
-    lines.append("w_t " + _fmt_vec(est.w_t))
-    lines.append("w_raw " + _fmt_vec(est.w_raw))
-    lines.append("w_final " + _fmt_vec(est.w_final))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + _estimate_lines(est)) + "\n"
 
 
 def parse_weights(text: str) -> WeightEstimate:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ DEFAULT_DEPTH = 2
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str  # "tanh" | "linear"
+    activation: str  # "tanh" in the extractor, "linear" in the classifier
 
 
 @dataclass
@@ -42,6 +43,11 @@ class SourceModel:
                 raise ParameterError("adjacent extractor layer dimensions do not compose")
         if self.extractor and self.classifier.weight.shape[1] != dims[-1][0]:
             raise ParameterError("classifier input dim must equal extractor output dim")
+        # forward() applies exactly these activations, whatever a layer says
+        if any(layer.activation != "tanh" for layer in self.extractor):
+            raise ParameterError("extractor layers must use tanh activation")
+        if self.classifier.activation != "linear":
+            raise ParameterError("classifier layer must use linear activation")
         for layer in [*self.extractor, self.classifier]:
             if not (np.all(np.isfinite(layer.weight)) and np.all(np.isfinite(layer.bias))):
                 raise ParameterError("model parameters must be finite")
@@ -142,48 +148,49 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_cache(model: SourceModel, X: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer: [X, a1, ..., features]."""
-    acts = [X]
-    a = X
-    for layer in model.extractor:
-        a = np.tanh(a @ layer.weight.T + layer.bias)
-        acts.append(a)
-    return acts
+class Tape(NamedTuple):
+    """One forward pass: the outputs plus what `backward` needs to reuse it."""
+
+    features: np.ndarray
+    logits: np.ndarray
+    probs: np.ndarray
+    acts: list  # [X, a1, ..., features], one entry per extractor layer input/output
 
 
-def forward(model: SourceModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (features, logits, probs) for a batch."""
+def forward(model: SourceModel, X: np.ndarray) -> Tape:
+    """Runs a batch through the model; `tape[0:3]` is (features, logits, probs)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ParameterError(
             f"batch has {X.shape[-1] if X.ndim == 2 else '?'} columns, "
             f"model expects {model.input_dim}"
         )
-    features = _forward_cache(model, X)[-1]
+    acts = [X]
+    for layer in model.extractor:
+        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
+    features = acts[-1]
     logits = features @ model.classifier.weight.T + model.classifier.bias
-    return features, logits, softmax(logits)
+    return Tape(features, logits, softmax(logits), acts)
 
 
 def backward(
     model: SourceModel,
-    X: np.ndarray,
-    loss_grad_on_logits: np.ndarray | None = None,
-    loss_grad_on_features: np.ndarray | None = None,
+    tape: Tape,
+    dlogits: np.ndarray | None = None,
+    dfeat: np.ndarray | None = None,
 ) -> Gradient:
     """Exact analytic gradients for upstream gradients on logits and/or features.
 
-    Any reduction (e.g. the 1/batch of a mean loss) must already be folded
-    into the upstream gradients.
+    `tape` is `forward(model, X)` for the same parameters. Any reduction
+    (e.g. the 1/batch of a mean loss) must already be folded into the
+    upstream gradients.
     """
-    X = np.asarray(X, dtype=np.float64)
-    acts = _forward_cache(model, X)
-    features = acts[-1]
+    acts, features = tape.acts, tape.features
 
-    if loss_grad_on_logits is not None:
-        dlogits = np.asarray(loss_grad_on_logits, dtype=np.float64)
-        if dlogits.shape != (X.shape[0], model.num_classes):
-            raise ParameterError("loss_grad_on_logits shape mismatch")
+    if dlogits is not None:
+        dlogits = np.asarray(dlogits, dtype=np.float64)
+        if dlogits.shape != (features.shape[0], model.num_classes):
+            raise ParameterError("dlogits shape mismatch")
         g_wc = dlogits.T @ features
         g_bc = dlogits.sum(axis=0)
         g = dlogits @ model.classifier.weight
@@ -192,10 +199,10 @@ def backward(
         g_bc = np.zeros_like(model.classifier.bias)
         g = np.zeros_like(features)
 
-    if loss_grad_on_features is not None:
-        dfeat = np.asarray(loss_grad_on_features, dtype=np.float64)
+    if dfeat is not None:
+        dfeat = np.asarray(dfeat, dtype=np.float64)
         if dfeat.shape != features.shape:
-            raise ParameterError("loss_grad_on_features shape mismatch")
+            raise ParameterError("dfeat shape mismatch")
         g = g + dfeat
 
     ext_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.extractor)
@@ -208,34 +215,27 @@ def backward(
 
 
 def sgd_step(model: SourceModel, grad: Gradient, state: OptimizerState) -> None:
-    """Momentum SGD update, in place on `model` and `state`."""
-    pairs = list(zip(model.extractor, grad.extractor, state.velocity.extractor))
-    for layer, (gw, gb), (vw, vb) in pairs:
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise NumericError("non-finite gradient entry; aborting step")
-    gw_c, gb_c = grad.classifier
-    if not (np.all(np.isfinite(gw_c)) and np.all(np.isfinite(gb_c))):
-        raise NumericError("non-finite gradient entry; aborting step")
+    """Momentum SGD update, in place on `model` and `state`.
 
-    for layer, (gw, gb), (vw, vb) in pairs:
+    Raises NumericError, touching nothing, if any gradient entry is non-finite.
+    """
+    grads = [*grad.extractor, grad.classifier]
+    if not all(np.isfinite(g).all() for pair in grads for g in pair):
+        raise NumericError("non-finite gradient entry; aborting step")
+    layers = [*model.extractor, model.classifier]
+    velocities = [*state.velocity.extractor, state.velocity.classifier]
+    for layer, (gw, gb), (vw, vb) in zip(layers, grads, velocities):
         vw *= state.momentum
         vw += gw
         vb *= state.momentum
         vb += gb
         layer.weight -= state.learning_rate * vw
         layer.bias -= state.learning_rate * vb
-    vw_c, vb_c = state.velocity.classifier
-    vw_c *= state.momentum
-    vw_c += gw_c
-    vb_c *= state.momentum
-    vb_c += gb_c
-    model.classifier.weight -= state.learning_rate * vw_c
-    model.classifier.bias -= state.learning_rate * vb_c
     state.step += 1
 
 
 def predict(model: SourceModel, X: np.ndarray) -> np.ndarray:
-    return forward(model, X)[2].argmax(axis=1)
+    return forward(model, X).probs.argmax(axis=1)
 
 
 def accuracy(model: SourceModel, X: np.ndarray, y: np.ndarray) -> float:
@@ -257,6 +257,8 @@ def load_model(path) -> SourceModel:
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise FormatError(f"{path}: not a shiftlab model file (version mismatch?)")
+    if len(lines) < 2:
+        raise FormatError(f"{path}: missing metadata line")
     meta = dict(part.split("=", 1) for part in lines[1].split() if "=" in part)
     layers: list[Layer] = []
     i = 2

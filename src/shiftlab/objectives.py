@@ -206,6 +206,15 @@ def mmd_rbf_grad(
     return float(value / nb), gx / nb, gy / nb
 
 
+def mix_probs(weights, probs: dict) -> np.ndarray:
+    """Weighted sum of per-model softmax outputs, in model order.
+
+    `probs` maps the index of each model with a non-zero weight to its
+    probs; the weights must already be a validated simplex vector.
+    """
+    return sum(weights[i] * p for i, p in probs.items())
+
+
 def weighted_ensemble_probs(
     models: list[SourceModel], weights, X: np.ndarray
 ) -> np.ndarray:
@@ -220,11 +229,8 @@ def weighted_ensemble_probs(
     for model in models[1:]:
         if model.num_classes != k or model.input_dim != d:
             raise ParameterError("all models must share num_classes and input dim")
-    out = np.zeros((np.asarray(X).shape[0], k))
-    for w, model in zip(weights, models):
-        if w != 0.0:
-            out += w * forward(model, X)[2]
-    return out
+    probs = {i: forward(m, X).probs for i, m in enumerate(models) if weights[i] != 0.0}
+    return mix_probs(weights, probs)
 
 
 def msfda_loss(models: list[SourceModel], weights, X: np.ndarray) -> LossValue:

@@ -102,7 +102,7 @@ class TestCriterion1Gradients:
 
                 probs = forward(model, X)[2]
                 dprobs = probs_grad(probs, y) if needs else probs_grad(probs)
-                analytic = backward(model, X, softmax_probs_to_logits_grad(probs, dprobs))
+                analytic = backward(model, forward(model, X), softmax_probs_to_logits_grad(probs, dprobs))
                 worst = max(worst, max_rel_err(flat_analytic(analytic), fd_model_grad(model, value)))
                 count += 1
             # MMD through the feature extractor, explicit bandwidths so the
@@ -116,8 +116,8 @@ class TestCriterion1Gradients:
                 return mmd_rbf(forward(model, X)[0], forward(model, Y)[0], kernel)
 
             _, gx, gy = mmd_rbf_grad(forward(model, X)[0], forward(model, Y)[0], kernel)
-            analytic = backward(model, X, loss_grad_on_features=gx)
-            analytic.add_(backward(model, Y, loss_grad_on_features=gy))
+            analytic = backward(model, forward(model, X), dfeat=gx)
+            analytic.add_(backward(model, forward(model, Y), dfeat=gy))
             worst = max(worst, max_rel_err(flat_analytic(analytic), fd_model_grad(model, value)))
             count += 1
         elapsed = time.perf_counter() - t0

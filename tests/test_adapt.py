@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from shiftlab import adapt
 from shiftlab.adapt import (
     EVAL_INTERVAL,
     AdaptationConfig,
@@ -15,7 +16,7 @@ from shiftlab.adapt import (
 )
 from shiftlab.datagen import ShiftSpec, gen_gaussian_blobs, gen_two_moons
 from shiftlab.errors import ParameterError
-from shiftlab.nn import accuracy, init_model
+from shiftlab.nn import accuracy, forward, init_model
 
 
 def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
@@ -237,3 +238,21 @@ class TestExpandedBase:
         assert all(r.loss_ce > 0 or r.iteration == 0 for r in out.record.rows)
         if mode == "ce+mmd":
             assert any(r.loss_mmd != 0.0 for r in out.record.rows)
+
+    def test_one_forward_per_active_model_and_batch(self, monkeypatch):
+        # ce+mmd reuses each tape for the CE, IM and MMD terms and for backward
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(3)]
+        visible = [moons(seed=50 + j, domain_id=f"v{j}") for j in range(2)]
+        tgt = moons(rotation=20.0, seed=52, domain_id="t").unlabeled()
+        calls = []
+
+        def counting_forward(model, X):
+            calls.append(len(X))
+            return forward(model, X)
+
+        monkeypatch.setattr(adapt, "forward", counting_forward)
+        # beta_pseudo=0 and no eval_set leave out the full-dataset passes
+        train_expanded_base(models, [0.5, 0.5, 0.0], tgt, visible, "ce+mmd",
+                            AdaptationConfig(iterations=1, beta_pseudo=0.0))
+        active = 2
+        assert len(calls) == active * (1 + len(visible))

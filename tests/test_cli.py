@@ -204,6 +204,16 @@ class TestExitCodes:
         bad.write_text("garbage\n")
         assert run("verify", "model", str(bad)) == 2
 
+    @pytest.mark.parametrize("edit", ["magic-only", "relu"])
+    def test_verify_unrunnable_model_is_usage_error(self, tmp_path, model_file, capsys, edit):
+        bad = tmp_path / "bad.model"
+        if edit == "magic-only":
+            bad.write_text("#shiftlab-model v1\n")
+        else:
+            bad.write_text(model_file.read_text().replace(" tanh\n", " relu\n", 1))
+        assert run("verify", "model", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_numeric_error_maps_to_exit_3(self, monkeypatch, tmp_path, moons_file):
         def boom(*a, **k):
             raise NumericError("diverged")

@@ -76,16 +76,16 @@ class TestForward:
     def test_zero_classifier_gives_uniform_probs(self):
         m = init_model(2, 8, 3, seed=1)
         m.classifier.weight[...] = 0.0
-        _, _, probs = forward(m, np.random.default_rng(0).normal(size=(5, 2)))
+        probs = forward(m, np.random.default_rng(0).normal(size=(5, 2))).probs
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         m = init_model(2, 8, 3, seed=1)
         X = np.random.default_rng(1).normal(size=(4, 2))
-        _, logits, probs = forward(m, X)
+        probs = forward(m, X).probs
         m2 = init_model(2, 8, 3, seed=1)
         m2.classifier.bias += 7.5  # shifts every logit of every row
-        _, _, probs2 = forward(m2, X)
+        probs2 = forward(m2, X).probs
         assert np.allclose(probs, probs2, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -111,7 +111,7 @@ class TestBackward:
         def loss(model):
             return float((forward(model, X)[1] * U).sum())
 
-        analytic = backward(m, X, U)
+        analytic = backward(m, forward(m, X), U)
         assert_grad_close(analytic, finite_difference_grad(m, X, loss))
 
     def test_feature_gradient_path(self):
@@ -123,13 +123,13 @@ class TestBackward:
         def loss(model):
             return float((forward(model, X)[0] * V).sum())
 
-        analytic = backward(m, X, loss_grad_on_features=V)
+        analytic = backward(m, forward(m, X), dfeat=V)
         fd = finite_difference_grad(m, X, loss)
         assert_grad_close(Gradient(analytic.extractor, analytic.classifier), fd)
 
     def test_zero_upstream_gives_zero_gradient(self):
         m = init_model(2, 4, 2, seed=0)
-        g = backward(m, np.zeros((3, 2)), np.zeros((3, 2)))
+        g = backward(m, forward(m, np.zeros((3, 2))), np.zeros((3, 2)))
         for gw, gb in [*g.extractor, g.classifier]:
             assert np.all(gw == 0) and np.all(gb == 0)
 
@@ -138,8 +138,8 @@ class TestBackward:
         m = init_model(2, 4, 2, seed=3)
         X = rng.normal(size=(5, 2))
         U = rng.normal(size=(5, 2))
-        g1 = backward(m, X, U / 5)
-        g2 = backward(m, np.vstack([X, X]), np.vstack([U, U]) / 10)
+        g1 = backward(m, forward(m, X), U / 5)
+        g2 = backward(m, forward(m, np.vstack([X, X])), np.vstack([U, U]) / 10)
         for (a, ab), (b, bb) in zip(
             [*g1.extractor, g1.classifier], [*g2.extractor, g2.classifier]
         ):
@@ -184,6 +184,29 @@ class TestSgd:
         with pytest.raises(NumericError):
             sgd_step(m, g, init_optimizer(m, 0.1, 0.0))
 
+    def test_nonfinite_last_entry_touches_nothing(self):
+        m = init_model(2, 4, 2, depth=2, seed=1)
+        state = init_optimizer(m, 0.1, 0.9)
+        g = zeros_gradient(m)
+        for gw, gb in [*g.extractor, g.classifier]:
+            gw[...] = 1.0
+            gb[...] = 1.0
+        sgd_step(m, g, state)  # non-zero velocity, so a partial update would show
+
+        def snapshot():
+            arrays = [*m.extractor, m.classifier]
+            params = [a for layer in arrays for a in (layer.weight, layer.bias)]
+            vel = [a for pair in [*state.velocity.extractor, state.velocity.classifier]
+                   for a in pair]
+            return [a.copy() for a in params + vel]
+
+        before = snapshot()
+        g.classifier[1][-1] = np.nan  # the last entry the finiteness check reaches
+        with pytest.raises(NumericError):
+            sgd_step(m, g, state)
+        assert all(np.array_equal(a, b) for a, b in zip(before, snapshot()))
+        assert state.step == 1
+
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -206,6 +229,25 @@ class TestSerialization:
         idx = max(i for i, ln in enumerate(lines) if ln.startswith("layer "))
         lines[idx] = "layer 2 3 linear"
         path.write_text("\n".join(lines[: idx + 1 + 2 * 3 + 2]) + "\n")
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_magic_line_only_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("#shiftlab-model v1\n")
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("layer, activation", [(0, "relu"), (-1, "tanh")])
+    def test_activation_forward_cannot_run_rejected(self, tmp_path, layer, activation):
+        m = init_model(2, 4, 2, depth=2, seed=0)
+        path = tmp_path / "m.txt"
+        save_model(m, path)
+        lines = path.read_text().splitlines()
+        headers = [i for i, ln in enumerate(lines) if ln.startswith("layer ")]
+        rows, cols = lines[headers[layer]].split()[1:3]
+        lines[headers[layer]] = f"layer {rows} {cols} {activation}"
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError):
             load_model(path)
 
