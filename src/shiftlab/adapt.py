@@ -26,6 +26,7 @@ from .nn import (
 from .objectives import (
     cross_entropy,
     cross_entropy_probs_grad,
+    ensemble_weights,
     im_loss,
     im_probs_grad,
     mix_probs,
@@ -256,15 +257,7 @@ def _adapt_loop(
     mode: str | None = None,
     scenario: str = "sfda",
 ) -> TrainerOutput:
-    weights = np.asarray(weights, dtype=np.float64)
-    if len(weights) != len(models):
-        raise ParameterError("one weight per model required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-6:
-        raise ParameterError("weights must be a simplex vector")
-    k = models[0].num_classes
-    for m in models[1:]:
-        if m.num_classes != k:
-            raise ParameterError("all models must share num_classes")
+    weights = ensemble_weights(models, weights)
     active = [i for i, w in enumerate(weights) if w != 0.0]
     models = [m.clone() for m in models]
     opts = [init_optimizer(m, cfg.learning_rate, cfg.momentum) for m in models]

@@ -8,9 +8,7 @@ Iteration counts are mini-batch steps.
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
@@ -28,7 +26,7 @@ from .adapt import (
 )
 from .datagen import Dataset, ShiftSpec, gen_two_moons, make_adversarial_source, split
 from .errors import ParameterError
-from .records import CSV_HEADER, ExperimentRecord, TrajectoryRow
+from .records import ExperimentRecord, TrajectoryRow, write_trajectory
 
 REPORT_MAGIC = "#shiftlab-report v1"
 
@@ -42,21 +40,6 @@ MIN_TARGET_N = 20
 # unsupervised adaptation objectives, which destabilise above ~0.01.
 SOURCE_CONFIG = AdaptationConfig(learning_rate=0.05)
 ADAPT_CONFIG = AdaptationConfig(learning_rate=0.01)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SHIFTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_seeds(fn, seeds):
-    threads = _thread_count()
-    if threads == 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
 
 
 @dataclass(frozen=True)
@@ -85,9 +68,7 @@ class ScenarioSpec:
     seeds: list
     config: AdaptationConfig = field(default_factory=AdaptationConfig)
     visibility: dict | None = None  # domain_id -> mea visibility mode
-    lambda_mea: float = 1.0
     expanded_visible: list | None = None  # domain ids injected as visible data
-    expanded_mode: str = "ce-only"
     source_iterations: int = 300
     source_config: AdaptationConfig | None = None  # defaults to `config`
 
@@ -117,8 +98,7 @@ def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
     """Source model per domain, taken from `memo` or trained and added to it.
 
     A source model is a pure function of the key below, so specs that share
-    a memo train each distinct source once. The key holds the seed, so
-    concurrent seeds never write the same entry.
+    a memo train each distinct source once.
     """
     models = {}
     base = spec.source_config if spec.source_config is not None else spec.config
@@ -142,14 +122,15 @@ def _evaluation_record(run_id, scenario, models, weights, eval_set) -> Experimen
 def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
     """One ExperimentRecord per seed, deterministic per seed.
 
-    `source_models` is an optional memo of trained source models, shared by
-    the specs of one suite call so that each distinct source is trained
-    once. The models in it are shared, never modified: trainers adapt
-    clones. The records are the same with or without it.
+    Seeds run one after another on the calling thread. `source_models` is
+    an optional memo of trained source models, shared by the specs of one
+    suite call so that each distinct source is trained once. The models in
+    it are shared, never modified: trainers adapt clones. The records are
+    the same with or without it.
     """
     memo = {} if source_models is None else source_models
-
-    def one(seed: int) -> ExperimentRecord:
+    records = []
+    for seed in spec.seeds:
         try:
             datasets, target_eval = _build_domains(spec, seed)
             target = target_eval.unlabeled()
@@ -184,7 +165,7 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
                 weights = np.full(len(model_list), 1.0 / len(model_list))
                 visible = [datasets[d] for d in spec.expanded_visible]
                 record = train_expanded_base(
-                    model_list, weights, target, visible, spec.expanded_mode, cfg,
+                    model_list, weights, target, visible, "ce-only", cfg,
                     eval_set=target_eval,
                 ).record
             record.run_id = run_id
@@ -194,20 +175,19 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
             conv = iterations_to_convergence(record, tolerance=0.01)
             record.summary["iterations_to_convergence"] = conv
             record.summary["converged"] = conv is not None
-            return record
+            records.append(record)
         except Exception as exc:
             context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
             exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
             raise
-
-    return _map_seeds(one, spec.seeds)
+    return records
 
 
 def _estimate_weights(spec: ScenarioSpec, models, datasets, target):
     visibility = spec.visibility or {d: mea.DATA_VISIBLE for d in datasets}
     vis = mea.VisibilitySpec(visibility)
     visible_data = {d: datasets[d] for d in vis.visible_domains()}
-    return mea.estimate(list(models.values()), vis, visible_data, target, spec.lambda_mea)
+    return mea.estimate(list(models.values()), vis, visible_data, target, spec.config.lambda_mea)
 
 
 def iterations_to_convergence(
@@ -243,6 +223,14 @@ def _majority(flags) -> bool:
 
 # ---------------------------------------------------------------------------
 # Suites
+
+# Two sources near the target and one with permuted labels (srcC), shared by
+# the negative-transfer and fusion suites.
+_MIXED_SOURCES = {
+    "srcA": MoonsRecipe(rotation=5.0),
+    "srcB": MoonsRecipe(rotation=15.0),
+    "srcC": MoonsRecipe(rotation=10.0, adversarial=True),
+}
 
 
 def convergence_suite(seeds, out_dir=None) -> dict:
@@ -291,21 +279,10 @@ def convergence_suite(seeds, out_dir=None) -> dict:
     return report
 
 
-def _negative_transfer_setup(seeds):
-    sources = {
-        "srcA": MoonsRecipe(rotation=5.0),
-        "srcB": MoonsRecipe(rotation=15.0),
-        "srcC": MoonsRecipe(rotation=10.0, adversarial=True),
-    }
-    target = MoonsRecipe(rotation=30.0)
-    return sources, target
-
-
 def negative_transfer_suite(seeds, out_dir=None) -> dict:
     """Adversarial-source suite: uniform MSFDA vs MEA vs expanded base."""
-    sources, target = _negative_transfer_setup(seeds)
     common = dict(
-        sources=sources, target=target, seeds=list(seeds),
+        sources=_MIXED_SOURCES, target=MoonsRecipe(rotation=30.0), seeds=list(seeds),
         config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
     )
     source_models = {}
@@ -356,7 +333,8 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
     source = MoonsRecipe(rotation=0.0)
     target = MoonsRecipe(rotation=30.0, n=target_n)
 
-    def one(seed: int) -> dict:
+    per_seed, records = [], []
+    for seed in seeds:
         src = source.build(seed * 1000 + 1, "src")
         tgt = target.build(seed * 1000 + 997, "target")
         tr, te = split(tgt, 0.9, seed=seed)
@@ -374,18 +352,18 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
         acc_train = _ensemble_accuracy(out.models, out.weights, tr)
         acc_test = _ensemble_accuracy(out.models, out.weights, te)
         gap = abs(acc_train - acc_test)
-        return {
-            "seed": seed,
-            "acc_train": acc_train,
-            "acc_test": acc_test,
-            "gap": gap,
-            "gap_ok": gap <= 0.03,
-            "isolation_ok": isolation_ok,
-            "record": out.record,
-        }
+        records.append(out.record)
+        per_seed.append(
+            {
+                "seed": seed,
+                "acc_train": acc_train,
+                "acc_test": acc_test,
+                "gap": gap,
+                "gap_ok": gap <= 0.03,
+                "isolation_ok": isolation_ok,
+            }
+        )
 
-    results = _map_seeds(one, list(seeds))
-    per_seed = [{k: v for k, v in r.items() if k != "record"} for r in results]
     report = {
         "suite": "overfitting",
         "per_seed": per_seed,
@@ -394,17 +372,12 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
     }
     report["passed"] = report["gap_majority"] and report["isolation_all"]
     if out_dir is not None:
-        emit_report([r["record"] for r in results], out_dir, suite_summary=report)
+        emit_report(records, out_dir, suite_summary=report)
     return report
 
 
 def fusion_suite(seeds, out_dir=None) -> dict:
     """Table-style data-model fusion report over several target rotations."""
-    sources = {
-        "srcA": MoonsRecipe(rotation=5.0),
-        "srcB": MoonsRecipe(rotation=15.0),
-        "srcC": MoonsRecipe(rotation=10.0, adversarial=True),
-    }
     visibility = {
         "srcA": mea.DATA_VISIBLE,
         "srcB": mea.DATA_VISIBLE,
@@ -419,7 +392,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
         name = f"moons{int(rot)}"
         for paradigm in paradigms:
             spec = ScenarioSpec(
-                name, paradigm, sources, MoonsRecipe(rotation=rot), list(seeds),
+                name, paradigm, _MIXED_SOURCES, MoonsRecipe(rotation=rot), list(seeds),
                 config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
                 visibility=visibility,
             )
@@ -479,8 +452,7 @@ def emit_report(records: list, out_dir, suite_summary: dict | None = None) -> li
     written = []
     for rec in records:
         path = out / f"run_{_safe_name(rec.run_id)}.csv"
-        lines = [CSV_HEADER] + [row.csv() for row in rec.rows]
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        write_trajectory(rec, path)
         written.append(path)
 
     # summary matrix: paradigm rows x scenario columns (mean over seeds) + average

@@ -1,8 +1,7 @@
 """Command-line surface: gen, train-source, adapt, estimate, bench, verify, defaults.
 
 Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage/config error,
-3 numeric failure. Thread count for bench suites comes from SHIFTLAB_THREADS
-(default 1).
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ from .adapt import (
     train_uda,
 )
 from .datagen import ShiftSpec, gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
-from .errors import FormatError, NumericError, ParameterError, ShiftLabError
+from .errors import NumericError, ParameterError, ShiftLabError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
-from .records import CSV_HEADER
+from .records import write_trajectory
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -60,23 +59,23 @@ def read_config(path) -> dict:
 
 
 def _apply_config(cfg: AdaptationConfig, overrides: dict) -> AdaptationConfig:
-    valid = {f.name: f.type for f in fields(AdaptationConfig)}
+    valid = sorted(f.name for f in fields(AdaptationConfig))
     kwargs = {}
     for key, raw in overrides.items():
         if key not in valid:
-            raise ParameterError(f"unknown config key {key!r}; valid: {sorted(valid)}")
-        current = getattr(cfg, key)
-        kwargs[key] = type(current)(raw) if not isinstance(current, int) else int(raw)
+            raise ParameterError(f"unknown config key {key!r}; valid: {valid}")
+        kind = type(getattr(cfg, key))
+        try:
+            kwargs[key] = kind(raw)
+        except ValueError:
+            raise ParameterError(
+                f"config key {key!r}: {raw!r} is not of type {kind.__name__}"
+            ) from None
     return replace(cfg, **kwargs)
 
 
 def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_trajectory(record, path) -> None:
-    lines = [CSV_HEADER] + [row.csv() for row in record.rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _cfg_from_args(args) -> AdaptationConfig:
@@ -123,7 +122,7 @@ def cmd_train_source(args) -> int:
     out = train_source(ds, cfg, eval_set=ds)
     save_model(out.model, args.out)
     if args.trajectory:
-        _write_trajectory(out.record, args.trajectory)
+        write_trajectory(out.record, args.trajectory)
     print(f"{args.out} final_train_accuracy={out.record.final_accuracy():.4f}")
     return EXIT_OK
 
@@ -216,7 +215,7 @@ def cmd_adapt(args) -> int:
             for i, model in enumerate(out.models):
                 save_model(model, stem.with_name(f"{stem.stem}-{i}{stem.suffix}"))
     if args.trajectory:
-        _write_trajectory(out.record, args.trajectory)
+        write_trajectory(out.record, args.trajectory)
     final = out.record.final_accuracy()
     print(f"paradigm={args.paradigm} iterations={cfg.iterations}"
           + (f" final_accuracy={final:.4f}" if final is not None else ""))
@@ -239,9 +238,17 @@ def cmd_estimate(args) -> int:
 def cmd_bench(args) -> int:
     if args.suite not in bench.SUITES:
         raise ParameterError(f"unknown suite {args.suite!r}; valid: {sorted(bench.SUITES)}")
-    seeds = list(range(args.seeds)) if args.seed_list is None else [
-        int(s) for s in args.seed_list.split(",")
-    ]
+    if args.seed_list is None:
+        seeds = list(range(args.seeds))
+    else:
+        try:
+            seeds = [int(s) for s in args.seed_list.split(",")]
+        except ValueError:
+            raise ParameterError(
+                f"--seed-list needs comma-separated integers, got {args.seed_list!r}"
+            ) from None
+    if not seeds or min(seeds) < 0:
+        raise ParameterError(f"bench needs one or more non-negative seeds, got {seeds}")
     report = bench.SUITES[args.suite](seeds, out_dir=args.out)
     for entry in report["per_seed"]:
         print(" ".join(f"{k}={v}" for k, v in entry.items()))
@@ -278,7 +285,6 @@ def _defaults() -> dict:
             ("convergence_tolerance", bench.DEFAULT_TOLERANCE, ""),
             ("eval_interval", EVAL_INTERVAL, "iterations between accuracy evaluations"),
         ],
-        "env": [("SHIFTLAB_THREADS", 1, "")],
     }
 
 
@@ -389,7 +395,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParameterError, FormatError, ShiftLabError, FileNotFoundError) as exc:
+    # an input path that cannot be read is a usage error too
+    except (ShiftLabError, FileNotFoundError, IsADirectoryError, PermissionError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

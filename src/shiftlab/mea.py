@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset
-from .errors import ExclusionError, ParameterError
+from .errors import ExclusionError, FormatError, ParameterError
 from .nn import SourceModel, accuracy, forward
 
 DATA_VISIBLE = "data-visible"
@@ -58,16 +58,19 @@ class WeightEstimate:
             self.w_s = np.asarray(self.w_s, dtype=np.float64)
             _check_simplex(self.w_s, "w_s")
         _check_simplex(self.w_t, "w_t")
+        others = (self.w_s, self.w_raw, self.w_final)
+        if any(v is not None and v.shape != self.w_t.shape for v in others):
+            raise ParameterError("w_s, w_t, w_raw and w_final must have the same length")
         _check_simplex(self.w_final, "w_final")
         expected = 1.0 if self.fallback else 1.0 + self.lam
-        if abs(self.w_raw.sum() - expected) > 1e-9:
+        if not abs(self.w_raw.sum() - expected) <= 1e-9:
             raise ParameterError(f"w_raw must sum to {expected}, got {self.w_raw.sum()}")
         if int(np.argmax(self.w_final)) != int(np.argmax(self.w_raw)):
             raise ParameterError("normalization must preserve the argmax of w_raw")
 
 
 def _check_simplex(v: np.ndarray, name: str) -> None:
-    if np.any(v < 0) or abs(v.sum() - 1.0) > 1e-9:
+    if not (np.all(v >= 0) and abs(v.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ParameterError(f"{name} must be non-negative and sum to 1, got {v}")
 
 
@@ -221,25 +224,28 @@ def format_weights(est: WeightEstimate, model_ids: list) -> str:
 
 
 def parse_weights(text: str) -> WeightEstimate:
+    """Read a weights file; any malformed content raises FormatError."""
     lines = text.splitlines()
     if not lines or lines[0] != WEIGHTS_MAGIC:
-        raise ParameterError("not a shiftlab weights file")
+        raise FormatError("not a shiftlab weights file")
     fields = {}
     for ln in lines[1:]:
-        if not ln.strip():
-            continue
-        key, _, rest = ln.partition(" ")
-        fields[key] = rest
+        if ln.strip():
+            key, _, rest = ln.partition(" ")
+            fields[key] = rest
     def vec(key):
-        raw = fields.get(key, "absent")
-        if raw == "absent":
-            return None
-        return np.array([float(x) for x in raw.split()])
-    return WeightEstimate(
-        vec("w_s"),
-        vec("w_t"),
-        float(fields["lambda"]),
-        vec("w_raw"),
-        vec("w_final"),
-        fallback=fields.get("fallback", "false") == "true",
-    )
+        return np.array([float(x) for x in fields[key].split()])
+
+    try:
+        return WeightEstimate(
+            None if fields.get("w_s", "absent") == "absent" else vec("w_s"),
+            vec("w_t"),
+            float(fields["lambda"]),
+            vec("w_raw"),
+            vec("w_final"),
+            fallback=fields.get("fallback", "false") == "true",
+        )
+    except KeyError as exc:
+        raise FormatError(f"weights file has no {exc.args[0]} line") from None
+    except ValueError as exc:  # a non-number, or weights that break an invariant
+        raise FormatError(f"weights file: {exc}") from None

@@ -206,19 +206,12 @@ def mmd_rbf_grad(
     return float(value / nb), gx / nb, gy / nb
 
 
-def mix_probs(weights, probs: dict) -> np.ndarray:
-    """Weighted sum of per-model softmax outputs, in model order.
+def ensemble_weights(models: list[SourceModel], weights) -> np.ndarray:
+    """Ensemble weights as float64, validated against the models.
 
-    `probs` maps the index of each model with a non-zero weight to its
-    probs; the weights must already be a validated simplex vector.
+    One non-negative weight per model, summing to 1; every model must share
+    num_classes and input dim.
     """
-    return sum(weights[i] * p for i, p in probs.items())
-
-
-def weighted_ensemble_probs(
-    models: list[SourceModel], weights, X: np.ndarray
-) -> np.ndarray:
-    """Convex combination of the models' softmax outputs."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(models) != len(weights):
         raise ParameterError("one weight per model required")
@@ -229,6 +222,23 @@ def weighted_ensemble_probs(
     for model in models[1:]:
         if model.num_classes != k or model.input_dim != d:
             raise ParameterError("all models must share num_classes and input dim")
+    return weights
+
+
+def mix_probs(weights, probs: dict) -> np.ndarray:
+    """Weighted sum of per-model softmax outputs, in model order.
+
+    `probs` maps the index of each model with a non-zero weight to its
+    probs; the weights must already be checked by `ensemble_weights`.
+    """
+    return sum(weights[i] * p for i, p in probs.items())
+
+
+def weighted_ensemble_probs(
+    models: list[SourceModel], weights, X: np.ndarray
+) -> np.ndarray:
+    """Convex combination of the models' softmax outputs."""
+    weights = ensemble_weights(models, weights)
     probs = {i: forward(m, X).probs for i, m in enumerate(models) if weights[i] != 0.0}
     return mix_probs(weights, probs)
 

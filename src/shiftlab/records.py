@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 CSV_HEADER = "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,ms"
 
@@ -46,3 +47,9 @@ class ExperimentRecord:
     def final_accuracy(self) -> float | None:
         accs = self.accuracies()
         return accs[-1][1] if accs else None
+
+
+def write_trajectory(record: ExperimentRecord, path) -> None:
+    """Write a record's rows as a trajectory CSV under CSV_HEADER."""
+    lines = [CSV_HEADER] + [row.csv() for row in record.rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -1,18 +1,13 @@
 """Acceptance gate: nine property-based and directional criteria.
 
 Each test prints one `ACCEPT criterion-N PASS` line on success so the gate
-can be audited from the pytest log. Suites run threaded via SHIFTLAB_THREADS
-to stay inside the runtime budgets; per-seed results are unaffected by the
-thread count.
+can be audited from the pytest log.
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
-
-os.environ.setdefault("SHIFTLAB_THREADS", "5")
 
 from shiftlab.adapt import AdaptationConfig, train_msfda, train_sfda, train_source, train_uda
 from shiftlab.bench import (

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,23 @@ class TestRunScenario:
             assert rec.summary["seed"] == seed
             assert "iterations_to_convergence" in rec.summary
             assert 0.0 <= rec.final_accuracy() <= 1.0
+
+    def test_seeds_run_in_order_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setenv("SHIFTLAB_THREADS", "5")  # once selected a thread pool
+        calls = []
+        train_source = bench.train_source
+
+        def counting(ds, cfg, *args, **kwargs):
+            calls.append((threading.get_ident(), cfg.seed))
+            return train_source(ds, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "train_source", counting)
+        spec = ScenarioSpec(
+            "tiny", "source-only", {"a": MoonsRecipe(n=60)}, MoonsRecipe(n=60), [3, 1],
+            source_iterations=5,
+        )
+        run_scenario(spec)
+        assert calls == [(threading.get_ident(), 300), (threading.get_ident(), 100)]
 
     def test_deterministic_across_calls(self):
         spec = ScenarioSpec(

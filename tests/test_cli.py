@@ -214,6 +214,33 @@ class TestExitCodes:
         assert run("verify", "model", str(bad)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("probe", [
+        "config-int", "config-float", "seed-list", "no-seeds", "negative-seed",
+        "dataset-dir", "config-dir", "non-ascii-dataset",
+    ])
+    def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
+                                                         capsys, probe):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[adapt]\n" + ("iterations = abc\n" if probe == "config-int"
+                                      else "learning_rate = fast\n"))
+        non_ascii = tmp_path / "data.csv"
+        non_ascii.write_bytes(b"\xc3\xa9\n")
+        train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
+        argv, needle = {  # needle: what the one-line error must name
+            "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
+            "config-float": ((*train, "--config", str(cfg)), "'learning_rate': 'fast'"),
+            "seed-list": (("bench", "overfitting", "--seed-list", "0,x"), "'0,x'"),
+            "no-seeds": (("bench", "overfitting", "--seeds", "0"), "[]"),
+            "negative-seed": (("bench", "overfitting", "--seed-list", "-1"), "[-1]"),
+            "dataset-dir": (("verify", "dataset", str(tmp_path)), str(tmp_path)),
+            "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
+            "non-ascii-dataset": (("verify", "dataset", str(non_ascii)), "ascii"),
+        }[probe]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_numeric_error_maps_to_exit_3(self, monkeypatch, tmp_path, moons_file):
         def boom(*a, **k):
             raise NumericError("diverged")
@@ -228,11 +255,11 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for needle in ("learning_rate=0.05", "momentum=0.9", "hidden=64",
-                       "convergence_window=50", "SHIFTLAB_THREADS"):
+                       "convergence_window=50", "eval_interval=10"):
             assert needle in out
 
     def test_defaults_prints_config(self, capsys):
         assert run("defaults") == 0
         out = capsys.readouterr().out
         assert "[adapt]" in out and "learning_rate = 0.05" in out
-        assert "SHIFTLAB_THREADS" in out
+        assert "eval_interval = 10" in out

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from shiftlab import cli
 from shiftlab.datagen import Dataset
-from shiftlab.errors import ExclusionError, ParameterError
+from shiftlab.errors import ExclusionError, FormatError, ParameterError
 from shiftlab.mea import (
     DATA_VISIBLE,
     MODEL_ONLY,
@@ -235,8 +236,30 @@ class TestSerialization:
         assert back.fallback and back.w_s is None
 
     def test_parse_rejects_wrong_magic(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(FormatError):
             parse_weights("#not-weights v1\n")
+
+    @pytest.mark.parametrize("old, new", [
+        (None, "#shiftlab-weights v1\nmodels a\nw_final 1\n"),  # no lambda
+        ("lambda 1\n", ""),
+        ("lambda 1\n", "lambda abc\n"),
+        ("w_t 0.20000000000000001", "w_t x"),
+        ("w_t 0.20000000000000001 0.80000000000000004", "w_t absent"),
+        ("w_t 0.20000000000000001", "w_t nan"),
+        ("0.56666666666666665\n", "0.56666666666666665 0\n"),
+    ], ids=["only-w_final", "no-lambda", "bad-lambda", "bad-entry", "absent-w_t", "nan-entry",
+            "extra-entry"])
+    def test_malformed_file_is_format_error(self, tmp_path, capsys, old, new):
+        text = format_weights(self._estimate(), ["a", "b"])
+        assert old is None or old in text
+        text = new if old is None else text.replace(old, new)
+        with pytest.raises(FormatError):
+            parse_weights(text)
+        path = tmp_path / "bad.weights"
+        path.write_text(text)
+        assert cli.main(["verify", "weights", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_provenance_contains_audit_lines(self):
         models = [sign_model("a"), sign_model("b")]
