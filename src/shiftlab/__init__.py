@@ -33,7 +33,6 @@ from .errors import (
     ShiftLabError,
 )
 from .mea import (
-    VisibilitySpec,
     WeightEstimate,
     combine_weights,
     confidence_weights,
@@ -90,7 +89,6 @@ __all__ = [
     "NumericError",
     "ParameterError",
     "ShiftLabError",
-    "VisibilitySpec",
     "WeightEstimate",
     "combine_weights",
     "confidence_weights",

@@ -67,10 +67,8 @@ class ScenarioSpec:
     target: MoonsRecipe
     seeds: list
     config: AdaptationConfig = field(default_factory=AdaptationConfig)
-    visibility: dict | None = None  # domain_id -> mea visibility mode
+    shared: tuple | None = None  # sources whose data MEA scores models on; None: all
     expanded_visible: list | None = None  # domain ids injected as visible data
-    source_iterations: int = 300
-    source_config: AdaptationConfig | None = None  # defaults to `config`
 
     def __post_init__(self) -> None:
         if self.paradigm not in PARADIGMS:
@@ -101,9 +99,8 @@ def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
     a memo train each distinct source once.
     """
     models = {}
-    base = spec.source_config if spec.source_config is not None else spec.config
     for j, domain_id in enumerate(datasets):
-        cfg = replace(base, iterations=spec.source_iterations, seed=seed * 100 + j)
+        cfg = replace(SOURCE_CONFIG, seed=seed * 100 + j)
         key = (domain_id, spec.sources[domain_id], _data_seed(seed, j), astuple(cfg))
         if key not in memo:
             memo[key] = train_source(datasets[domain_id], cfg).model
@@ -155,7 +152,8 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
                 weights = np.full(len(model_list), 1.0 / len(model_list))
                 record = train_msfda(model_list, weights, target, cfg, eval_set=target_eval).record
             elif spec.paradigm == "msfda-mea":
-                est, prov = _estimate_weights(spec, models, datasets, target)
+                shared = {d: datasets[d] for d in spec.shared or datasets}
+                est, prov = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
                 record = train_msfda(
                     model_list, est.w_final, target, cfg, eval_set=target_eval
                 ).record
@@ -181,13 +179,6 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
             exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
             raise
     return records
-
-
-def _estimate_weights(spec: ScenarioSpec, models, datasets, target):
-    visibility = spec.visibility or {d: mea.DATA_VISIBLE for d in datasets}
-    vis = mea.VisibilitySpec(visibility)
-    visible_data = {d: datasets[d] for d in vis.visible_domains()}
-    return mea.estimate(list(models.values()), vis, visible_data, target, spec.config.lambda_mea)
 
 
 def iterations_to_convergence(
@@ -239,11 +230,11 @@ def convergence_suite(seeds, out_dir=None) -> dict:
     target = MoonsRecipe(rotation=30.0)
     sfda_spec = ScenarioSpec(
         "moons30", "sfda", source, target, list(seeds),
-        config=replace(ADAPT_CONFIG, iterations=300), source_config=SOURCE_CONFIG,
+        config=replace(ADAPT_CONFIG, iterations=300),
     )
     uda_spec = ScenarioSpec(
         "moons30", "uda", source, target, list(seeds),
-        config=replace(ADAPT_CONFIG, iterations=2000), source_config=SOURCE_CONFIG,
+        config=replace(ADAPT_CONFIG, iterations=2000),
     )
     source_models = {}
     sfda_records = run_scenario(sfda_spec, source_models)
@@ -283,7 +274,7 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
     """Adversarial-source suite: uniform MSFDA vs MEA vs expanded base."""
     common = dict(
         sources=_MIXED_SOURCES, target=MoonsRecipe(rotation=30.0), seeds=list(seeds),
-        config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
+        config=ADAPT_CONFIG,
     )
     source_models = {}
     uniform = run_scenario(ScenarioSpec("negxfer", "msfda-uniform", **common), source_models)
@@ -328,6 +319,8 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
 
 def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
     """Adapt on 90% of the target, compare train/test accuracy gap."""
+    if not seeds:
+        raise ParameterError("need at least one seed")
     if target_n < MIN_TARGET_N:
         raise ParameterError(f"target too small for a 9:1 split audit: n={target_n} < {MIN_TARGET_N}")
     source = MoonsRecipe(rotation=0.0)
@@ -347,7 +340,7 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
             )
         ) and tr.n + te.n == tgt.n
         cfg = replace(ADAPT_CONFIG, seed=seed)
-        src_model = train_source(src, replace(SOURCE_CONFIG, iterations=300, seed=seed)).model
+        src_model = train_source(src, replace(SOURCE_CONFIG, seed=seed)).model
         out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
         acc_train = _ensemble_accuracy(out.models, out.weights, tr)
         acc_test = _ensemble_accuracy(out.models, out.weights, te)
@@ -378,11 +371,6 @@ def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
 
 def fusion_suite(seeds, out_dir=None) -> dict:
     """Table-style data-model fusion report over several target rotations."""
-    visibility = {
-        "srcA": mea.DATA_VISIBLE,
-        "srcB": mea.DATA_VISIBLE,
-        "srcC": mea.MODEL_ONLY,
-    }
     rotations = (20.0, 30.0, 45.0)
     paradigms = ("source-only", "msfda-uniform", "msfda-mea")
     records = []
@@ -393,8 +381,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
         for paradigm in paradigms:
             spec = ScenarioSpec(
                 name, paradigm, _MIXED_SOURCES, MoonsRecipe(rotation=rot), list(seeds),
-                config=ADAPT_CONFIG, source_config=SOURCE_CONFIG,
-                visibility=visibility,
+                config=ADAPT_CONFIG, shared=("srcA", "srcB"),  # srcC shares its model only
             )
             runs = run_scenario(spec, source_models)
             records.extend(runs)

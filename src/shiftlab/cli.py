@@ -1,7 +1,7 @@
 """Command-line surface: gen, train-source, adapt, estimate, bench, verify, defaults.
 
-Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage/config error,
-3 numeric failure.
+Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage, config or
+file-format error, or an unreadable input file, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -127,27 +127,16 @@ def cmd_train_source(args) -> int:
     return EXIT_OK
 
 
-def _load_weights_arg(args, models, model_ids, target, cfg):
+def _load_weights_arg(args, models, target, cfg):
     if args.weights == "uniform":
         return np.full(len(models), 1.0 / len(models))
     if args.weights == "mea":
-        visible = _parse_visible(args)
-        est, _ = mea.estimate(
-            models, _visibility(visible, model_ids), visible, target, cfg.lambda_mea
-        )
+        est, _ = mea.estimate(models, _parse_visible(args), target, cfg.lambda_mea)
         return est.w_final
     est = mea.parse_weights(Path(args.weights).read_text())
     if len(est.w_final) != len(models):
         raise ParameterError("weight file length does not match the number of models")
     return est.w_final
-
-
-def _visibility(visible: dict, model_ids: list) -> mea.VisibilitySpec:
-    """Visible datasets' domains share data; every other model id shares its model only."""
-    modes = {d: mea.DATA_VISIBLE for d in visible}
-    for mid in model_ids:
-        modes.setdefault(mid, mea.MODEL_ONLY)
-    return mea.VisibilitySpec(modes)
 
 
 def _parse_visible(args) -> dict:
@@ -190,8 +179,7 @@ def cmd_adapt(args) -> int:
         models = [load_model(p) for p in args.model or []]
         if not models:
             raise ParameterError("paradigm 'msfda' requires at least one --model")
-        ids = [m.meta.get("domain_id", str(i)) for i, m in enumerate(models)]
-        weights = _load_weights_arg(args, models, ids, target_unlabeled, cfg)
+        weights = _load_weights_arg(args, models, target_unlabeled, cfg)
         out = train_msfda(models, weights, target_unlabeled, cfg, eval_set=eval_set)
     elif args.paradigm == "expanded":
         models = [load_model(p) for p in args.model or []]
@@ -225,9 +213,8 @@ def cmd_adapt(args) -> int:
 def cmd_estimate(args) -> int:
     models = [load_model(p) for p in args.model]
     ids = [m.meta.get("domain_id", str(i)) for i, m in enumerate(models)]
-    visible = _parse_visible(args)
     target = load_dataset(args.target).unlabeled()
-    est, prov = mea.estimate(models, _visibility(visible, ids), visible, target, args.lam)
+    est, prov = mea.estimate(models, _parse_visible(args), target, args.lam)
     Path(args.out).write_text(mea.format_weights(est, ids), encoding="ascii")
     if args.log:
         Path(args.log).write_text(mea.format_provenance(est, prov, ids), encoding="ascii")

@@ -247,7 +247,7 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset`."""
+    """Read a dataset written by :func:`save_dataset`; bad content raises FormatError."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines or not lines[0].startswith(DATASET_MAGIC):
@@ -260,21 +260,27 @@ def load_dataset(path) -> Dataset:
         domain = header["domain"]
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: malformed header: {lines[0]!r}") from exc
+    if n < 1 or d < 1:
+        raise FormatError(f"{path}: header needs n >= 1 and d >= 1, got n={n}, d={d}")
     body = [ln for ln in lines[1:] if ln]
     if len(body) != n:
         raise FormatError(f"{path}: expected {n} rows, found {len(body)}")
-    features = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
+    rows, labels = [], []
     for i, ln in enumerate(body):
         fields = ln.split(",")
         if len(fields) != d + 1:
             raise FormatError(f"{path}: row {i} has {len(fields)} fields, expected {d + 1}")
-        features[i] = [float(v) for v in fields[:d]]
-        labels[i] = int(fields[d])
-    if labels.max() >= k:
-        raise FormatError(f"{path}: label {labels.max()} out of range for K={k}")
-    if np.all(labels == -1):
-        return Dataset(features, None, k, domain)
-    if np.any(labels == -1):
+        try:
+            rows.append([float(v) for v in fields[:d]])
+            labels.append(int(fields[d]))
+        except ValueError as exc:
+            raise FormatError(f"{path}: row {i}: {exc}") from None
+        if not -1 <= labels[-1] < k:
+            raise FormatError(f"{path}: row {i}: label {labels[-1]} out of range for K={k}")
+    unlabeled = labels[0] == -1
+    if any((label == -1) != unlabeled for label in labels):
         raise FormatError(f"{path}: mixes labeled and unlabeled rows")
-    return Dataset(features, labels, k, domain)
+    try:
+        return Dataset(np.array(rows), None if unlabeled else labels, k, domain)
+    except (ParameterError, OverflowError) as exc:  # e.g. K < 2, a non-finite value
+        raise FormatError(f"{path}: {exc}") from None

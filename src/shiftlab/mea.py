@@ -1,15 +1,15 @@
 """Proxy-based source-model weight estimation.
 
-Three steps: proxy-accuracy weights from visible source domains (excluding
-each model's own training data), target-confidence weights from average
-max-softmax scores, and their lambda-combination normalized back onto the
-simplex. With fewer than two usable proxies per model the estimate falls
-back to confidence weights alone.
+Three steps: proxy-accuracy weights from the source domains whose labeled
+data is shared (excluding each model's own training data), target-confidence
+weights from average max-softmax scores, and their lambda-combination
+normalized back onto the simplex. When some model has no proxy domain the
+estimate falls back to confidence weights alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +17,8 @@ from .datagen import Dataset
 from .errors import ExclusionError, FormatError, ParameterError
 from .nn import SourceModel, accuracy, forward
 
-DATA_VISIBLE = "data-visible"
-MODEL_ONLY = "model-only"
-
 PROVENANCE_MAGIC = "#shiftlab-provenance v1"
 WEIGHTS_MAGIC = "#shiftlab-weights v1"
-
-
-@dataclass
-class VisibilitySpec:
-    """Per-domain sharing mode: raw labeled data or trained model only."""
-
-    modes: dict  # domain_id -> DATA_VISIBLE | MODEL_ONLY
-
-    def __post_init__(self) -> None:
-        if not self.modes:
-            raise ParameterError("visibility spec needs at least one domain")
-        for domain, mode in self.modes.items():
-            if mode not in (DATA_VISIBLE, MODEL_ONLY):
-                raise ParameterError(f"domain {domain!r}: unknown visibility {mode!r}")
-
-    def visible_domains(self) -> list:
-        return [d for d, m in self.modes.items() if m == DATA_VISIBLE]
 
 
 @dataclass
@@ -54,6 +34,8 @@ class WeightEstimate:
         self.w_t = np.asarray(self.w_t, dtype=np.float64)
         self.w_raw = np.asarray(self.w_raw, dtype=np.float64)
         self.w_final = np.asarray(self.w_final, dtype=np.float64)
+        if self.fallback != (self.w_s is None):
+            raise ParameterError("fallback must be set exactly when w_s is absent")
         if self.w_s is not None:
             self.w_s = np.asarray(self.w_s, dtype=np.float64)
             _check_simplex(self.w_s, "w_s")
@@ -71,7 +53,7 @@ class WeightEstimate:
 
 def _check_simplex(v: np.ndarray, name: str) -> None:
     if not (np.all(v >= 0) and abs(v.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise ParameterError(f"{name} must be non-negative and sum to 1, got {v}")
+        raise ParameterError(f"{name} must be non-negative and sum to 1, got {v.tolist()}")
 
 
 def proxy_accuracy(
@@ -102,23 +84,17 @@ def proxy_accuracy(
 
 
 def proxy_weights(
-    models: list[SourceModel],
-    visibility: VisibilitySpec,
-    datasets: dict,
-    provenance: list | None = None,
+    models: list[SourceModel], datasets: dict, provenance: list | None = None
 ) -> np.ndarray | None:
     """Eq.-style proxy-accuracy weights, or None when any model lacks proxies.
 
-    `datasets` maps each data-visible domain_id to its labeled Dataset.
+    `datasets` maps each domain whose labeled data is shared to its Dataset,
+    in scoring order; a domain that shares only its model is absent.
     """
-    visible = visibility.visible_domains()
-    for domain in visible:
-        if domain not in datasets:
-            raise ParameterError(f"data-visible domain {domain!r} has no dataset")
     per_model_proxies = []
     for model in models:
         own = model.meta.get("domain_id", "")
-        proxies = [datasets[d] for d in visible if d != own]
+        proxies = [ds for d, ds in datasets.items() if d != own]
         if not proxies:
             return None  # single-source fallback
         per_model_proxies.append(proxies)
@@ -165,17 +141,16 @@ def combine_weights(w_t, w_s, lam: float) -> WeightEstimate:
 
 
 def estimate(
-    models: list[SourceModel],
-    visibility: VisibilitySpec,
-    datasets: dict,
-    target: Dataset,
-    lam: float = 1.0,
+    models: list[SourceModel], datasets: dict, target: Dataset, lam: float = 1.0
 ) -> tuple[WeightEstimate, list]:
-    """Full three-step estimation; returns the estimate and its provenance log."""
+    """Full three-step estimation; returns the estimate and its provenance log.
+
+    `datasets` holds the shared labeled domains, as for `proxy_weights`.
+    """
     if not models:
         raise ParameterError("need at least one model")
     provenance: list = []
-    w_s = proxy_weights(models, visibility, datasets, provenance) if len(models) > 1 else None
+    w_s = proxy_weights(models, datasets, provenance) if len(models) > 1 else None
     w_t = confidence_weights(models, target, provenance)
     est = combine_weights(w_t, w_s, lam)
     return est, provenance
@@ -237,7 +212,8 @@ def parse_weights(text: str) -> WeightEstimate:
         return np.array([float(x) for x in fields[key].split()])
 
     try:
-        return WeightEstimate(
+        model_ids = fields["models"].split(",")
+        est = WeightEstimate(
             None if fields.get("w_s", "absent") == "absent" else vec("w_s"),
             vec("w_t"),
             float(fields["lambda"]),
@@ -249,3 +225,8 @@ def parse_weights(text: str) -> WeightEstimate:
         raise FormatError(f"weights file has no {exc.args[0]} line") from None
     except ValueError as exc:  # a non-number, or weights that break an invariant
         raise FormatError(f"weights file: {exc}") from None
+    if len(model_ids) != len(est.w_final):
+        raise FormatError(
+            f"weights file lists {len(model_ids)} models for {len(est.w_final)} weights"
+        )
+    return est

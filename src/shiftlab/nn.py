@@ -270,11 +270,16 @@ def load_model(path) -> SourceModel:
             rows, cols = int(rows), int(cols)
         except ValueError as exc:
             raise FormatError(f"{path}: malformed layer header at line {i + 1}") from exc
+        if rows < 1 or cols < 1:
+            raise FormatError(f"{path}: layer dimensions must be >= 1 at line {i + 1}")
         need = rows * cols + rows
         vals = lines[i + 1 : i + 1 + need]
         if len(vals) != need:
             raise FormatError(f"{path}: truncated layer block at line {i + 1}")
-        flat = np.array([float(v) for v in vals])
+        try:
+            flat = np.array([float(v) for v in vals])
+        except ValueError as exc:
+            raise FormatError(f"{path}: layer block at line {i + 1}: {exc}") from None
         layers.append(Layer(flat[: rows * cols].reshape(rows, cols), flat[rows * cols :], activation))
         i += 1 + need
     if len(layers) < 2:

@@ -105,20 +105,21 @@ def softmax_probs_to_logits_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.nd
 
 @dataclass
 class KernelSpec:
-    """RBF kernel bandwidths on the squared-distance scale (sigma^2)."""
+    """RBF kernel bandwidths on the squared-distance scale (sigma^2).
+
+    A list is used as given; None selects the median heuristic per call.
+    """
 
     bandwidths: list | None = None
-    selection: str = "median-heuristic"
 
     def __post_init__(self) -> None:
-        if self.selection not in ("explicit", "median-heuristic"):
-            raise ParameterError(f"unknown bandwidth selection {self.selection!r}")
-        if self.selection == "explicit":
-            if not self.bandwidths or any(b <= 0 for b in self.bandwidths):
-                raise ParameterError("explicit kernel needs a non-empty list of positive bandwidths")
+        if self.bandwidths is not None and (
+            not self.bandwidths or any(b <= 0 for b in self.bandwidths)
+        ):
+            raise ParameterError("explicit kernel needs a non-empty list of positive bandwidths")
 
     def resolve(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        if self.selection == "explicit":
+        if self.bandwidths is not None:
             return np.asarray(self.bandwidths, dtype=np.float64)
         pooled = np.vstack([X, Y])
         sq = _sq_dists(pooled, pooled)

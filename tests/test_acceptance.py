@@ -105,7 +105,7 @@ class TestCriterion1Gradients:
             model = init_model(2, 4, 2, depth=2, seed=100 + rep)
             X = rng.normal(size=(5, 2))
             Y = rng.normal(size=(6, 2)) + 0.5
-            kernel = KernelSpec([0.8, 1.5], "explicit")
+            kernel = KernelSpec([0.8, 1.5])
 
             def value():
                 return mmd_rbf(forward(model, X)[0], forward(model, Y)[0], kernel)
@@ -157,14 +157,12 @@ class TestCriterion2WeightAlgebra:
         ok &= fb.fallback and bool(np.array_equal(fb.w_final, w_t))
 
         # own-domain exclusion audited through provenance
-        from shiftlab.mea import DATA_VISIBLE, VisibilitySpec
-
         models = [init_model(2, 8, 2, seed=i, domain_id=d) for i, d in enumerate("ab")]
         data = {
             d: gen_two_moons(40, 0.1, seed=i, domain_id=d) for i, d in enumerate("ab")
         }
         tgt = gen_two_moons(40, 0.1, seed=9, domain_id="t").unlabeled()
-        _, prov = estimate(models, VisibilitySpec({d: DATA_VISIBLE for d in "ab"}), data, tgt)
+        _, prov = estimate(models, data, tgt)
         proxy_pairs = [(p["model"], p["proxy"]) for p in prov if p["kind"] == "proxy"]
         ok &= len(proxy_pairs) > 0 and all(m != p for m, p in proxy_pairs)
 
@@ -197,7 +195,7 @@ class TestCriterion3MmdProperties:
             n, m = int(rng.integers(5, 200)), int(rng.integers(5, 200))
             X = rng.normal(size=(n, 2))
             Y = rng.normal(size=(m, 2)) + rng.uniform(0, 2)
-            kernel = KernelSpec([float(rng.uniform(0.5, 3.0))], "explicit")
+            kernel = KernelSpec([float(rng.uniform(0.5, 3.0))])
             v = mmd_rbf(X, Y, kernel)
             ok &= abs(v - mmd_rbf(Y, X, kernel)) <= 1e-12  # symmetry
             ok &= v >= -1e-9  # non-negativity
@@ -209,7 +207,7 @@ class TestCriterion3MmdProperties:
             Y = rng.normal(size=(9, 3)) + 1.0
             bw = [0.7, 1.4]
             worst_oracle = max(
-                worst_oracle, abs(mmd_rbf(X, Y, KernelSpec(bw, "explicit")) - naive(X, Y, bw))
+                worst_oracle, abs(mmd_rbf(X, Y, KernelSpec(bw)) - naive(X, Y, bw))
             )
         Z = rng.normal(size=(30, 2))
         ok &= abs(mmd_rbf(Z, Z.copy())) <= 1e-9  # zero on identical samples

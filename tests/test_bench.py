@@ -101,7 +101,7 @@ class TestRunScenario:
     def test_source_only_smoke_and_summary_fields(self):
         spec = ScenarioSpec(
             "tiny", "source-only", {"a": MoonsRecipe(n=80)},
-            MoonsRecipe(n=80, rotation=20.0), [0, 1], source_iterations=150,
+            MoonsRecipe(n=80, rotation=20.0), [0, 1],
         )
         records = run_scenario(spec)
         assert len(records) == 2
@@ -123,7 +123,6 @@ class TestRunScenario:
         monkeypatch.setattr(bench, "train_source", counting)
         spec = ScenarioSpec(
             "tiny", "source-only", {"a": MoonsRecipe(n=60)}, MoonsRecipe(n=60), [3, 1],
-            source_iterations=5,
         )
         run_scenario(spec)
         assert calls == [(threading.get_ident(), 300), (threading.get_ident(), 100)]
@@ -131,7 +130,7 @@ class TestRunScenario:
     def test_deterministic_across_calls(self):
         spec = ScenarioSpec(
             "tiny", "sfda", {"a": MoonsRecipe(n=80)},
-            MoonsRecipe(n=80, rotation=20.0), [0], source_iterations=100,
+            MoonsRecipe(n=80, rotation=20.0), [0],
         )
         a = run_scenario(spec)[0]
         b = run_scenario(spec)[0]
@@ -153,7 +152,7 @@ class TestSourceMemo:
         common = dict(
             sources={"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation=15.0)},
             target=MoonsRecipe(n=60, rotation=20.0), seeds=[0, 1],
-            config=AdaptationConfig(iterations=5, learning_rate=0.01), source_iterations=5,
+            config=AdaptationConfig(iterations=5, learning_rate=0.01),
         )
         only = ScenarioSpec("tiny", "source-only", **common)
         msfda = ScenarioSpec("tiny", "msfda-uniform", **common)
@@ -190,10 +189,35 @@ class TestSourceMemo:
         assert run_scenario(spec)[0].summary["paradigm"] == "uda"
 
 
+class TestSharedData:
+    def test_mea_scores_on_the_shared_sources_only(self, monkeypatch):
+        received = []
+        estimate = bench.mea.estimate
+
+        def counting(models, datasets, *args, **kwargs):
+            received.append([(d, ds.domain_id) for d, ds in datasets.items()])
+            return estimate(models, datasets, *args, **kwargs)
+
+        monkeypatch.setattr(bench.mea, "estimate", counting)
+        sources = {d: MoonsRecipe(n=60, rotation=r) for d, r in (("a", 5.0), ("b", 15.0))}
+        memo = {}
+        for shared in (("a",), None):
+            spec = ScenarioSpec(
+                "tiny", "msfda-mea", sources, MoonsRecipe(n=60, rotation=20.0), [0],
+                config=AdaptationConfig(iterations=5, learning_rate=0.01), shared=shared,
+            )
+            run_scenario(spec, memo)
+        assert received == [[("a", "a")], [("a", "a"), ("b", "b")]]
+
+
 class TestSuiteGuards:
     def test_overfitting_rejects_tiny_target(self):
         with pytest.raises(ParameterError):
             overfitting_suite([0], target_n=MIN_TARGET_N - 1)
+
+    def test_overfitting_rejects_empty_seeds(self):
+        with pytest.raises(ParameterError, match="need at least one seed"):
+            overfitting_suite([])
 
 
 class TestEmitReport:

@@ -1,9 +1,18 @@
 import hashlib
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab import cli
-from shiftlab.errors import NumericError
+from shiftlab.datagen import gen_two_moons, save_dataset
+from shiftlab.errors import NumericError, ShiftLabError
+from shiftlab.mea import combine_weights, format_weights
+from shiftlab.nn import init_model, save_model
 
 
 def run(*argv):
@@ -216,7 +225,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("probe", [
         "config-int", "config-float", "seed-list", "no-seeds", "negative-seed",
-        "dataset-dir", "config-dir", "non-ascii-dataset",
+        "dataset-dir", "config-dir", "non-ascii-dataset", "dataset-label", "dataset-feature",
+        "dataset-n", "dataset-d", "model-weight", "model-layer-dims",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -225,6 +235,17 @@ class TestExitCodes:
                                       else "learning_rate = fast\n"))
         non_ascii = tmp_path / "data.csv"
         non_ascii.write_bytes(b"\xc3\xa9\n")
+        dataset = "#shiftlab-dataset v1 n={} d={} K=2 domain=x\n{}\n"
+        model = "#shiftlab-model v1\ndomain_id=x\nlayer {}\n{}\n0\nlayer 2 1 linear\n1\n-1\n0\n0\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text({
+            "dataset-label": dataset.format(1, 1, "0.5,x"),
+            "dataset-feature": dataset.format(1, 1, "abc,0"),
+            "dataset-n": dataset.format(0, 1, ""),
+            "dataset-d": dataset.format(1, -1, "0"),
+            "model-weight": model.format("1 1 tanh", "abc"),
+            "model-layer-dims": model.format("-1 -1 tanh", "1"),
+        }.get(probe, ""))
         train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
         argv, needle = {  # needle: what the one-line error must name
             "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
@@ -235,6 +256,12 @@ class TestExitCodes:
             "dataset-dir": (("verify", "dataset", str(tmp_path)), str(tmp_path)),
             "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
             "non-ascii-dataset": (("verify", "dataset", str(non_ascii)), "ascii"),
+            "dataset-label": (("verify", "dataset", str(bad)), "'x'"),
+            "dataset-feature": (("verify", "dataset", str(bad)), "'abc'"),
+            "dataset-n": (("verify", "dataset", str(bad)), "n=0"),
+            "dataset-d": (("verify", "dataset", str(bad)), "d=-1"),
+            "model-weight": (("verify", "model", str(bad)), "'abc'"),
+            "model-layer-dims": (("verify", "model", str(bad)), "line 3"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -263,3 +290,58 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[adapt]" in out and "learning_rate = 0.05" in out
         assert "eval_interval = 10" in out
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """kind -> the text of one small valid file of that kind."""
+    d = tmp_path_factory.mktemp("valid")
+    save_dataset(gen_two_moons(3, 0.1, seed=0, domain_id="d"), d / "ds")
+    save_model(init_model(2, 2, 2, depth=1, domain_id="d"), d / "model")
+    weights = combine_weights(np.array([0.25, 0.75]), np.array([0.5, 0.5]), 1.0)
+    return {
+        "dataset": (d / "ds").read_text(),
+        "model": (d / "model").read_text(),
+        "weights": format_weights(weights, ["a", "b"]),
+        "config": "[adapt]\niterations = 7\nlearning_rate = 0.01\n",
+    }
+
+
+def check_exit_contract(kind, path):
+    """`verify` exits 0, or 2 with one `error:` line; `read_config` raises only what maps to 2."""
+    if kind == "config":
+        try:
+            assert isinstance(cli.read_config(path), dict)
+        except (ShiftLabError, UnicodeDecodeError):
+            pass
+        return
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["verify", kind, str(path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+KINDS = ["dataset", "model", "weights", "config"]
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestArbitraryInput:
+    @pytest.mark.parametrize("kind", KINDS)
+    @FUZZ
+    @given(data=st.binary(max_size=120))
+    def test_arbitrary_bytes(self, tmp_path_factory, kind, data):
+        path = tmp_path_factory.getbasetemp() / f"fuzz-bytes-{kind}"
+        path.write_bytes(data)
+        check_exit_contract(kind, path)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @FUZZ
+    @given(index=st.integers(min_value=0), text=st.text(max_size=12))
+    def test_one_token_replaced(self, tmp_path_factory, valid_files, kind, index, text):
+        parts = re.split(r"([\s,=]+)", valid_files[kind])
+        parts[2 * (index % ((len(parts) + 1) // 2))] = text  # even entries are tokens
+        path = tmp_path_factory.getbasetemp() / f"fuzz-token-{kind}"
+        path.write_bytes("".join(parts).encode("utf-8"))
+        check_exit_contract(kind, path)

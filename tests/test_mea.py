@@ -5,9 +5,6 @@ from shiftlab import cli
 from shiftlab.datagen import Dataset
 from shiftlab.errors import ExclusionError, FormatError, ParameterError
 from shiftlab.mea import (
-    DATA_VISIBLE,
-    MODEL_ONLY,
-    VisibilitySpec,
     WeightEstimate,
     combine_weights,
     confidence_weights,
@@ -26,6 +23,10 @@ def sign_model(domain_id="m", scale=1.0):
     extractor = [Layer(np.array([[scale]]), np.zeros(1), "tanh")]
     classifier = Layer(np.array([[1.0], [-1.0]]), np.zeros(2), "linear")
     return SourceModel(extractor, classifier, {"domain_id": domain_id})
+
+
+def weights_text(w_t, w_s, lam, ids=("a", "b")):
+    return format_weights(combine_weights(np.array(w_t), np.array(w_s), lam), list(ids))
 
 
 def dataset_with_accuracy(frac, n=10, domain="proxy"):
@@ -69,54 +70,44 @@ class TestProxyWeights:
             "a": dataset_with_accuracy(0.4, domain="a"),
             "b": dataset_with_accuracy(0.8, domain="b"),
         }
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": DATA_VISIBLE})
-        return models, vis, datasets
+        return models, datasets
 
     def test_worked_example_two_thirds_one_third(self):
         # model a is scored on domain b (0.8), model b on domain a (0.4)
-        models, vis, datasets = self._setup()
-        w = proxy_weights(models, vis, datasets)
+        models, datasets = self._setup()
+        w = proxy_weights(models, datasets)
         assert np.allclose(w, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_scale_invariance_of_accuracies(self):
         # doubling every proxy dataset leaves the normalized weights unchanged
-        models, vis, datasets = self._setup()
+        models, datasets = self._setup()
         doubled = {
             k: Dataset(np.vstack([d.features] * 2), np.concatenate([d.labels] * 2), 2, k)
             for k, d in datasets.items()
         }
-        assert np.allclose(proxy_weights(models, vis, datasets),
-                           proxy_weights(models, vis, doubled), atol=1e-12)
+        assert np.allclose(proxy_weights(models, datasets),
+                           proxy_weights(models, doubled), atol=1e-12)
 
     def test_monotone_in_proxy_accuracy(self):
         models = [sign_model("a"), sign_model("b")]
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": DATA_VISIBLE})
         lo = {"a": dataset_with_accuracy(0.5, domain="a"),
               "b": dataset_with_accuracy(0.5, domain="b")}
         hi = {"a": dataset_with_accuracy(0.5, domain="a"),
               "b": dataset_with_accuracy(0.9, domain="b")}
-        w_lo = proxy_weights(models, vis, lo)
-        w_hi = proxy_weights(models, vis, hi)
+        w_lo = proxy_weights(models, lo)
+        w_hi = proxy_weights(models, hi)
         assert w_hi[0] > w_lo[0]  # model a improved on its only proxy
 
     def test_single_visible_domain_falls_back(self):
         models = [sign_model("a"), sign_model("b")]
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": MODEL_ONLY})
         datasets = {"a": dataset_with_accuracy(0.8, domain="a")}
-        assert proxy_weights(models, vis, datasets) is None  # model a has no proxy
+        assert proxy_weights(models, datasets) is None  # model a has no proxy
 
     def test_all_zero_accuracy_gives_uniform(self):
         models = [sign_model("a"), sign_model("b")]
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": DATA_VISIBLE})
         datasets = {"a": dataset_with_accuracy(0.0, domain="a"),
                     "b": dataset_with_accuracy(0.0, domain="b")}
-        assert np.allclose(proxy_weights(models, vis, datasets), [0.5, 0.5], atol=1e-12)
-
-    def test_missing_visible_dataset_rejected(self):
-        models = [sign_model("a"), sign_model("b")]
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": DATA_VISIBLE})
-        with pytest.raises(ParameterError):
-            proxy_weights(models, vis, {"a": dataset_with_accuracy(0.5, domain="a")})
+        assert np.allclose(proxy_weights(models, datasets), [0.5, 0.5], atol=1e-12)
 
 
 class TestConfidenceWeights:
@@ -190,9 +181,8 @@ class TestEstimate:
     def test_end_to_end_excludes_own_domain(self):
         models = [sign_model("a"), sign_model("b"), sign_model("c", scale=-1.0)]
         datasets = {d: dataset_with_accuracy(0.9, domain=d) for d in ("a", "b", "c")}
-        vis = VisibilitySpec({d: DATA_VISIBLE for d in ("a", "b", "c")})
         target = Dataset(np.ones((6, 1)), None, 2, "t")
-        est, prov = estimate(models, vis, datasets, target, lam=1.0)
+        est, prov = estimate(models, datasets, target, lam=1.0)
         assert not est.fallback
         for rec in prov:
             if rec["kind"] == "proxy":
@@ -203,15 +193,10 @@ class TestEstimate:
     def test_single_model_falls_back(self):
         target = Dataset(np.ones((4, 1)), None, 2, "t")
         est, _ = estimate(
-            [sign_model("a")], VisibilitySpec({"a": DATA_VISIBLE}),
-            {"a": dataset_with_accuracy(0.8, domain="a")}, target,
+            [sign_model("a")], {"a": dataset_with_accuracy(0.8, domain="a")}, target,
         )
         assert est.fallback
         assert np.allclose(est.w_final, [1.0], atol=1e-12)
-
-    def test_visibility_spec_rejects_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            VisibilitySpec({"a": "public"})
 
 
 class TestSerialization:
@@ -247,8 +232,11 @@ class TestSerialization:
         ("w_t 0.20000000000000001 0.80000000000000004", "w_t absent"),
         ("w_t 0.20000000000000001", "w_t nan"),
         ("0.56666666666666665\n", "0.56666666666666665 0\n"),
+        (None, weights_text([0.2, 0.3, 0.5], [0.5, 0.25, 0.25], 1.0)),  # two ids, three weights
+        ("models a,b\n", ""),
+        (None, weights_text([0.2, 0.8], [0.6, 0.4], 0.0).replace("fallback false", "fallback true")),
     ], ids=["only-w_final", "no-lambda", "bad-lambda", "bad-entry", "absent-w_t", "nan-entry",
-            "extra-entry"])
+            "extra-entry", "models-count", "no-models", "fallback-with-w_s"])
     def test_malformed_file_is_format_error(self, tmp_path, capsys, old, new):
         text = format_weights(self._estimate(), ["a", "b"])
         assert old is None or old in text
@@ -265,9 +253,8 @@ class TestSerialization:
         models = [sign_model("a"), sign_model("b")]
         datasets = {"a": dataset_with_accuracy(0.4, domain="a"),
                     "b": dataset_with_accuracy(0.8, domain="b")}
-        vis = VisibilitySpec({"a": DATA_VISIBLE, "b": DATA_VISIBLE})
         target = Dataset(np.ones((4, 1)), None, 2, "t")
-        est, prov = estimate(models, vis, datasets, target)
+        est, prov = estimate(models, datasets, target)
         text = format_provenance(est, prov, ["a", "b"])
         assert text.startswith("#shiftlab-provenance v1\n")
         assert "proxy model=a proxy=b" in text

@@ -157,7 +157,7 @@ class TestMmd:
     def test_worked_example_single_points(self):
         # X={0}, Y={2}, sigma^2=2: 1 + 1 - 2 exp(-4/4) = 2 (1 - e^-1)
         X, Y = np.array([[0.0]]), np.array([[2.0]])
-        kernel = KernelSpec([2.0], "explicit")
+        kernel = KernelSpec([2.0])
         assert mmd_rbf(X, Y, kernel) == pytest.approx(2.0 * (1.0 - np.exp(-1.0)), abs=1e-12)
 
     def test_identical_samples_give_zero(self):
@@ -168,7 +168,7 @@ class TestMmd:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(9, 2))
         Y = rng.normal(size=(7, 2)) + 1.0
-        kernel = KernelSpec([0.5, 1.0, 3.0], "explicit")
+        kernel = KernelSpec([0.5, 1.0, 3.0])
         assert mmd_rbf(X, Y, kernel) == pytest.approx(
             naive_mmd(X, Y, [0.5, 1.0, 3.0]), abs=1e-12
         )
@@ -225,7 +225,7 @@ class TestMmd:
     def test_shift_increases_mmd(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 2))
-        kernel = KernelSpec([1.0], "explicit")
+        kernel = KernelSpec([1.0])
         small = mmd_rbf(X, X + 0.1, kernel)
         large = mmd_rbf(X, X + 2.0, kernel)
         assert 0.0 <= small < large
@@ -234,7 +234,7 @@ class TestMmd:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(5, 3))
         Y = rng.normal(size=(8, 3))
-        kernel = KernelSpec([1.5], "explicit")
+        kernel = KernelSpec([1.5])
         assert mmd_rbf(X, Y, kernel) == pytest.approx(mmd_rbf(Y, X, kernel), abs=1e-15)
 
     def test_rejects_mismatched_dims(self):
@@ -243,9 +243,9 @@ class TestMmd:
 
     def test_rejects_bad_kernel(self):
         with pytest.raises(ParameterError):
-            KernelSpec([-1.0], "explicit")
+            KernelSpec([-1.0])
         with pytest.raises(ParameterError):
-            KernelSpec(None, "explicit")
+            KernelSpec([])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -253,7 +253,7 @@ class TestMmd:
         arrays(np.float64, (5, 2), elements=st.floats(-3, 3)),
     )
     def test_nonnegative_and_matches_naive(self, X, Y):
-        kernel = KernelSpec([1.0], "explicit")
+        kernel = KernelSpec([1.0])
         v = mmd_rbf(X, Y, kernel)
         assert v >= -1e-12
         assert v == pytest.approx(naive_mmd(X, Y, [1.0]), abs=1e-10)
@@ -264,7 +264,7 @@ class TestMmdGrad:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(6, 2))
         Y = rng.normal(size=(5, 2)) + 0.5
-        kernel = KernelSpec([0.7, 1.3], "explicit")
+        kernel = KernelSpec([0.7, 1.3])
         value, gx, gy = mmd_rbf_grad(X, Y, kernel)
         assert value == pytest.approx(mmd_rbf(X, Y, kernel), abs=1e-12)
         fx = fd_grad(lambda: mmd_rbf(X, Y, kernel), X)
@@ -274,7 +274,7 @@ class TestMmdGrad:
 
     def test_zero_at_identical_samples(self):
         X = np.random.default_rng(13).normal(size=(7, 2))
-        _, gx, gy = mmd_rbf_grad(X, X.copy(), KernelSpec([1.0], "explicit"))
+        _, gx, gy = mmd_rbf_grad(X, X.copy(), KernelSpec([1.0]))
         assert np.allclose(gx + gy, 0.0, atol=1e-12)
 
 
