@@ -54,14 +54,11 @@ from .nn import (
 )
 from .objectives import (
     KernelSpec,
-    LossValue,
     cross_entropy,
     diversity_loss,
     entropy_loss,
     im_loss,
     mmd_rbf,
-    msfda_loss,
-    weighted_ensemble_probs,
 )
 from .records import ExperimentRecord, TrajectoryRow
 
@@ -106,14 +103,11 @@ __all__ = [
     "save_model",
     "sgd_step",
     "KernelSpec",
-    "LossValue",
     "cross_entropy",
     "diversity_loss",
     "entropy_loss",
     "im_loss",
     "mmd_rbf",
-    "msfda_loss",
-    "weighted_ensemble_probs",
     "ExperimentRecord",
     "TrajectoryRow",
     "__version__",

@@ -106,6 +106,28 @@ def _should_eval(step: int, iterations: int) -> bool:
     return step % EVAL_INTERVAL == 0 or step == iterations - 1
 
 
+def _drive(run_id, scenario, models, weights, cfg, eval_set, step) -> TrainerOutput:
+    """Run `cfg.iterations` steps and log one trajectory row per step.
+
+    `step(i, evaluating)` updates the models and returns the row's loss
+    fields; `evaluating` marks the steps whose row also gets the ensemble
+    accuracy on `eval_set`. The batch tapes are locals of the step, so they
+    are freed before that full-dataset pass.
+    """
+    record = ExperimentRecord(run_id=run_id, scenario=scenario)
+    clock = time.perf_counter
+    t0 = clock()
+    for i in range(cfg.iterations):
+        evaluating = _should_eval(i, cfg.iterations)
+        row = TrajectoryRow(iteration=i, **step(i, evaluating))
+        if eval_set is not None and evaluating:
+            row.acc_target = _ensemble_accuracy(models, weights, eval_set)
+        row.ms = (clock() - t0) * 1e3
+        record.rows.append(row)
+    record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
+    return TrainerOutput(models, weights, record)
+
+
 def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:
     """Supervised cross-entropy training from a fresh seeded model."""
     if ds.labels is None:
@@ -113,30 +135,19 @@ def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = 
     model = init_model(ds.d, num_classes=ds.num_classes, seed=cfg.seed, domain_id=ds.domain_id)
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
     stream = _stream(ds.n, cfg, 17)
-    record = ExperimentRecord(run_id=f"source-{ds.domain_id}-s{cfg.seed}", scenario="source")
-    t0 = time.perf_counter()
-    for step in range(cfg.iterations):
+
+    def step(it, evaluating):
         idx = stream.next()
         xb, yb = ds.features[idx], ds.labels[idx]
         tape = forward(model, xb)
         ce = cross_entropy(tape.probs, yb)
         dlogits = softmax_probs_to_logits_grad(tape.probs, cross_entropy_probs_grad(tape.probs, yb))
         sgd_step(model, backward(model, tape, dlogits), opt)
-        acc = None
-        if eval_set is not None and _should_eval(step, cfg.iterations):
-            acc = _ensemble_accuracy([model], [1.0], eval_set)
-        record.rows.append(
-            TrajectoryRow(
-                iteration=step,
-                loss_total=ce.value,
-                loss_ce=ce.value,
-                acc_target=acc,
-                ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        return {"loss_total": ce, "loss_ce": ce}
+
+    run_id = f"source-{ds.domain_id}-s{cfg.seed}"
     model.meta["epochs"] = str(cfg.iterations)
-    record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
-    return TrainerOutput([model], np.array([1.0]), record)
+    return _drive(run_id, "source", [model], np.array([1.0]), cfg, eval_set, step)
 
 
 def train_uda(
@@ -155,9 +166,8 @@ def train_uda(
     src_stream = _stream(source.n, cfg, 17)
     tgt_stream = _stream(target.n, cfg, 29)
     lam = cfg.lambda_uda
-    record = ExperimentRecord(run_id=f"uda-{source.domain_id}->{target.domain_id}-s{cfg.seed}", scenario="uda")
-    t0 = time.perf_counter()
-    for step in range(cfg.iterations):
+
+    def step(it, evaluating):
         idx = src_stream.next()
         xb, yb = source.features[idx], source.labels[idx]
         tape_s = forward(model, xb)
@@ -172,28 +182,16 @@ def train_uda(
         else:
             grad = backward(model, tape_s, dlogits)
         sgd_step(model, grad, opt)
-        acc = None
-        if _should_eval(step, cfg.iterations):
-            if eval_set is not None:
-                acc = _ensemble_accuracy([model], [1.0], eval_set)
-            if lam > 0:
-                # diagnostic: full-dataset alignment, not the per-batch estimate
-                fs = forward(model, source.features).features
-                ft = forward(model, target.features).features
-                mmd_value = mmd_rbf(fs, ft)
-        record.rows.append(
-            TrajectoryRow(
-                iteration=step,
-                loss_total=ce.value + lam * mmd_value,
-                loss_ce=ce.value,
-                loss_mmd=mmd_value,
-                acc_target=acc,
-                ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        if evaluating and lam > 0:
+            # diagnostic: full-dataset alignment, not the per-batch estimate
+            fs = forward(model, source.features).features
+            ft = forward(model, target.features).features
+            mmd_value = mmd_rbf(fs, ft)
+        return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
+
+    run_id = f"uda-{source.domain_id}->{target.domain_id}-s{cfg.seed}"
     model.meta["epochs"] = str(cfg.iterations)
-    record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
-    return TrainerOutput([model], np.array([1.0]), record)
+    return _drive(run_id, "uda", [model], np.array([1.0]), cfg, eval_set, step)
 
 
 def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -202,7 +200,7 @@ def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return 1.0 - fn @ cn.T
 
 
-def _ensemble_pseudo_labels(models, weights, X) -> tuple[np.ndarray, list]:
+def _ensemble_pseudo_labels(models, weights, X) -> np.ndarray:
     """Two-round weighted nearest-centroid pseudo labels (SHOT style).
 
     Round 1 builds per-model class centroids as ensemble-probability-weighted
@@ -237,14 +235,12 @@ def _ensemble_pseudo_labels(models, weights, X) -> tuple[np.ndarray, list]:
             mask = labels == c
             if mask.any():
                 centroids[i][c] = feats[i][mask].mean(axis=0)
-    labels = assign()
-    return labels, [centroids[i] for i, _ in active]
+    return assign()
 
 
-def pseudo_labels(model: SourceModel, target: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def pseudo_labels(model: SourceModel, target: Dataset) -> np.ndarray:
     """Two-round centroid pseudo labels for a single model."""
-    labels, cents = _ensemble_pseudo_labels([model], [1.0], target.features)
-    return labels, cents[0]
+    return _ensemble_pseudo_labels([model], [1.0], target.features)
 
 
 def _adapt_loop(
@@ -269,11 +265,11 @@ def _adapt_loop(
     )
     lam = cfg.lambda_uda
     pl = None
-    record = ExperimentRecord(run_id=f"{scenario}->{target.domain_id}-s{cfg.seed}", scenario=scenario)
-    t0 = time.perf_counter()
-    for step in range(cfg.iterations):
-        if cfg.beta_pseudo > 0 and step % cfg.pseudo_refresh == 0:
-            pl, _ = _ensemble_pseudo_labels(models, weights, target.features)
+
+    def step(it, evaluating):
+        nonlocal pl
+        if cfg.beta_pseudo > 0 and it % cfg.pseudo_refresh == 0:
+            pl = _ensemble_pseudo_labels(models, weights, target.features)
         idx = stream.next()
         xb = target.features[idx]
 
@@ -284,8 +280,7 @@ def _adapt_loop(
         dprobs = im_probs_grad(ens)
         ce_value = 0.0
         if cfg.beta_pseudo > 0:
-            ce = cross_entropy(ens, pl[idx])
-            ce_value = ce.value
+            ce_value = cross_entropy(ens, pl[idx])
             dprobs = dprobs + cfg.beta_pseudo * cross_entropy_probs_grad(ens, pl[idx])
 
         grads = {
@@ -302,8 +297,7 @@ def _adapt_loop(
                 xs, ys = vs.features[vidx], vs.labels[vidx]
                 tapes_s = {i: forward(models[i], xs) for i in active}
                 ens_s = mix_probs(weights, {i: t.probs for i, t in tapes_s.items()})
-                vce = cross_entropy(ens_s, ys)
-                vis_ce_value += scale * vce.value
+                vis_ce_value += scale * cross_entropy(ens_s, ys)
                 dprobs_s = scale * cross_entropy_probs_grad(ens_s, ys)
                 for i, ts in tapes_s.items():
                     dlog = softmax_probs_to_logits_grad(ts.probs, weights[i] * dprobs_s)
@@ -318,24 +312,15 @@ def _adapt_loop(
         for i, g in grads.items():
             g.zero_classifier_()  # classifier stays the source hypothesis
             sgd_step(models[i], g, opts[i])
-        tapes = tapes_s = None  # free the batch tapes before the full-dataset passes
+        return {
+            "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
+            "loss_ce": ce_value + vis_ce_value,
+            "loss_mmd": mmd_value,
+            "loss_im": im,
+        }
 
-        acc = None
-        if eval_set is not None and _should_eval(step, cfg.iterations):
-            acc = _ensemble_accuracy(models, weights, eval_set)
-        record.rows.append(
-            TrajectoryRow(
-                iteration=step,
-                loss_total=im.value + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
-                loss_ce=ce_value + vis_ce_value,
-                loss_mmd=mmd_value,
-                loss_im=im.value,
-                acc_target=acc,
-                ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-    record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
-    return TrainerOutput(models, weights, record)
+    run_id = f"{scenario}->{target.domain_id}-s{cfg.seed}"
+    return _drive(run_id, scenario, models, weights, cfg, eval_set, step)
 
 
 def train_sfda(

@@ -130,13 +130,23 @@ def cmd_train_source(args) -> int:
 def _load_weights_arg(args, models, target, cfg):
     if args.weights == "uniform":
         return np.full(len(models), 1.0 / len(models))
+    ids = _model_ids(models)
     if args.weights == "mea":
         est, _ = mea.estimate(models, _parse_visible(args), target, cfg.lambda_mea)
         return est.w_final
-    est = mea.parse_weights(Path(args.weights).read_text())
-    if len(est.w_final) != len(models):
-        raise ParameterError("weight file length does not match the number of models")
-    return est.w_final
+    est, file_ids = mea.parse_weights(Path(args.weights).read_text())
+    if sorted(file_ids) != sorted(ids):
+        raise ParameterError(f"weights file is for models {file_ids}, --model gives {ids}")
+    by_id = dict(zip(file_ids, est.w_final))
+    return np.array([by_id[i] for i in ids])
+
+
+def _model_ids(models) -> list:
+    """Each model's domain_id (its position when it has none); ids must be distinct."""
+    ids = [m.meta.get("domain_id", str(i)) for i, m in enumerate(models)]
+    if len(set(ids)) != len(ids):
+        raise ParameterError(f"models must have distinct domain ids, got {ids}")
+    return ids
 
 
 def _parse_visible(args) -> dict:
@@ -212,7 +222,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_estimate(args) -> int:
     models = [load_model(p) for p in args.model]
-    ids = [m.meta.get("domain_id", str(i)) for i, m in enumerate(models)]
+    ids = _model_ids(models)
     target = load_dataset(args.target).unlabeled()
     est, prov = mea.estimate(models, _parse_visible(args), target, args.lam)
     Path(args.out).write_text(mea.format_weights(est, ids), encoding="ascii")
@@ -251,7 +261,7 @@ def cmd_verify(args) -> int:
         model = load_model(args.path)
         print(f"ok model arch={model.meta.get('architecture', '?')}")
     else:
-        est = mea.parse_weights(Path(args.path).read_text())
+        est, _ = mea.parse_weights(Path(args.path).read_text())
         print(f"ok weights m={len(est.w_final)} fallback={est.fallback}")
     return EXIT_OK
 

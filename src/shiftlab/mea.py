@@ -34,6 +34,8 @@ class WeightEstimate:
         self.w_t = np.asarray(self.w_t, dtype=np.float64)
         self.w_raw = np.asarray(self.w_raw, dtype=np.float64)
         self.w_final = np.asarray(self.w_final, dtype=np.float64)
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.fallback != (self.w_s is None):
             raise ParameterError("fallback must be set exactly when w_s is absent")
         if self.w_s is not None:
@@ -128,8 +130,6 @@ def confidence_weights(
 
 def combine_weights(w_t, w_s, lam: float) -> WeightEstimate:
     """w_raw = w_t + lam * w_s, renormalized by (1 + lam) onto the simplex."""
-    if lam < 0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
     w_t = np.asarray(w_t, dtype=np.float64)
     if w_s is None:
         return WeightEstimate(None, w_t, lam, w_t.copy(), w_t.copy(), fallback=True)
@@ -198,8 +198,11 @@ def format_weights(est: WeightEstimate, model_ids: list) -> str:
     return "\n".join(lines + _estimate_lines(est)) + "\n"
 
 
-def parse_weights(text: str) -> WeightEstimate:
-    """Read a weights file; any malformed content raises FormatError."""
+def parse_weights(text: str) -> tuple[WeightEstimate, list]:
+    """Read a weights file into its estimate and its model ids, in file order.
+
+    Any malformed content raises FormatError.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != WEIGHTS_MAGIC:
         raise FormatError("not a shiftlab weights file")
@@ -229,4 +232,4 @@ def parse_weights(text: str) -> WeightEstimate:
         raise FormatError(
             f"weights file lists {len(model_ids)} models for {len(est.w_final)} weights"
         )
-    return est
+    return est, model_ids

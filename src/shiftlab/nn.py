@@ -101,7 +101,6 @@ class OptimizerState:
     learning_rate: float
     momentum: float
     velocity: Gradient
-    step: int = 0
 
 
 def init_optimizer(model: SourceModel, learning_rate: float, momentum: float) -> OptimizerState:
@@ -231,7 +230,6 @@ def sgd_step(model: SourceModel, grad: Gradient, state: OptimizerState) -> None:
         vb += gb
         layer.weight -= state.learning_rate * vw
         layer.bias -= state.learning_rate * vb
-    state.step += 1
 
 
 def predict(model: SourceModel, X: np.ndarray) -> np.ndarray:

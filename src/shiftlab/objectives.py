@@ -12,15 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .nn import SourceModel, forward, softmax
+from .nn import SourceModel
 
 EPS = 1e-6
-
-
-@dataclass
-class LossValue:
-    value: float
-    per_sample: np.ndarray | None = None
 
 
 def _check_probs(probs: np.ndarray) -> np.ndarray:
@@ -33,7 +27,7 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> LossValue:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = _check_probs(probs)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (probs.shape[0],):
@@ -41,8 +35,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> LossValue:
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ParameterError("label out of range")
     picked = probs[np.arange(len(labels)), labels]
-    per_sample = -np.log(picked + EPS)
-    return LossValue(float(per_sample.mean()), per_sample)
+    return float((-np.log(picked + EPS)).mean())
 
 
 def cross_entropy_probs_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -55,10 +48,9 @@ def cross_entropy_probs_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarra
     return grad
 
 
-def entropy_loss(probs: np.ndarray) -> LossValue:
+def entropy_loss(probs: np.ndarray) -> float:
     probs = _check_probs(probs)
-    per_sample = -(probs * np.log(probs + EPS)).sum(axis=1)
-    return LossValue(float(per_sample.mean()), per_sample)
+    return float((-(probs * np.log(probs + EPS)).sum(axis=1)).mean())
 
 
 def entropy_probs_grad(probs: np.ndarray) -> np.ndarray:
@@ -67,11 +59,11 @@ def entropy_probs_grad(probs: np.ndarray) -> np.ndarray:
     return -(np.log(probs + EPS) + probs / (probs + EPS)) / n
 
 
-def diversity_loss(probs: np.ndarray) -> LossValue:
+def diversity_loss(probs: np.ndarray) -> float:
     """Negative entropy of the marginal prediction; minimized at uniform marginal."""
     probs = _check_probs(probs)
     marginal = probs.mean(axis=0)
-    return LossValue(float((marginal * np.log(marginal + EPS)).sum()))
+    return float((marginal * np.log(marginal + EPS)).sum())
 
 
 def diversity_probs_grad(probs: np.ndarray) -> np.ndarray:
@@ -82,15 +74,9 @@ def diversity_probs_grad(probs: np.ndarray) -> np.ndarray:
     return np.broadcast_to(row, probs.shape).copy()
 
 
-def im_loss(probs: np.ndarray) -> LossValue:
-    """Information-maximization loss: entropy + diversity.
-
-    per_sample carries the entropy term only; the diversity term is a
-    batch-level statistic with no per-sample decomposition.
-    """
-    ent = entropy_loss(probs)
-    div = diversity_loss(probs)
-    return LossValue(ent.value + div.value, ent.per_sample)
+def im_loss(probs: np.ndarray) -> float:
+    """Information-maximization loss: entropy + diversity."""
+    return entropy_loss(probs) + diversity_loss(probs)
 
 
 def im_probs_grad(probs: np.ndarray) -> np.ndarray:
@@ -234,16 +220,3 @@ def mix_probs(weights, probs: dict) -> np.ndarray:
     """
     return sum(weights[i] * p for i, p in probs.items())
 
-
-def weighted_ensemble_probs(
-    models: list[SourceModel], weights, X: np.ndarray
-) -> np.ndarray:
-    """Convex combination of the models' softmax outputs."""
-    weights = ensemble_weights(models, weights)
-    probs = {i: forward(m, X).probs for i, m in enumerate(models) if weights[i] != 0.0}
-    return mix_probs(weights, probs)
-
-
-def msfda_loss(models: list[SourceModel], weights, X: np.ndarray) -> LossValue:
-    """Information-maximization loss of the weighted ensemble prediction."""
-    return im_loss(weighted_ensemble_probs(models, weights, X))

@@ -93,7 +93,7 @@ class TestCriterion1Gradients:
 
                 def value():
                     probs = forward(model, X)[2]
-                    return (loss(probs, y) if needs else loss(probs)).value
+                    return loss(probs, y) if needs else loss(probs)
 
                 probs = forward(model, X)[2]
                 dprobs = probs_grad(probs, y) if needs else probs_grad(probs)

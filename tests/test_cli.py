@@ -19,6 +19,21 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def id_models(tmp_path):
+    """Paths of two saved 2-D models with domain ids a and b."""
+    paths = []
+    for i, domain in enumerate("ab"):
+        paths.append(tmp_path / f"{domain}.model")
+        save_model(init_model(2, 8, 2, seed=i, domain_id=domain), paths[-1])
+    return paths
+
+
+def weights_text(ids):
+    """A fallback weights file for `ids`, weighted 1 : 2 : ... in id order."""
+    w_t = np.arange(1.0, len(ids) + 1) / sum(range(1, len(ids) + 1))
+    return format_weights(combine_weights(w_t, None, 1.0), ids)
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -141,6 +156,24 @@ class TestAdapt:
         assert (tmp_path / "ens-0.model").exists()
         assert (tmp_path / "ens-1.model").exists()
 
+    def test_weights_file_binds_by_model_id(self, monkeypatch, tmp_path, target_file):
+        model_a, model_b = id_models(tmp_path)
+        weights = tmp_path / "w.weights"
+        weights.write_text(weights_text(["a", "b"]))
+        seen = []
+        real = cli.train_msfda
+
+        def spy(models, w, *args, **kwargs):
+            seen.append({m.meta["domain_id"]: float(x) for m, x in zip(models, w)})
+            return real(models, w, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_msfda", spy)
+        for order in ((model_a, model_b), (model_b, model_a)):
+            assert run("adapt", "--paradigm", "msfda", "--target", str(target_file),
+                       "--iterations", "1", "--weights", str(weights),
+                       "--model", str(order[0]), "--model", str(order[1])) == 0
+        assert seen == [{"a": 1 / 3, "b": 2 / 3}] * 2
+
     def test_expanded_requires_source_data(self, model_file, target_file):
         assert run("adapt", "--paradigm", "expanded", "--target", str(target_file),
                    "--model", str(model_file)) == 2
@@ -227,6 +260,8 @@ class TestExitCodes:
         "config-int", "config-float", "seed-list", "no-seeds", "negative-seed",
         "dataset-dir", "config-dir", "non-ascii-dataset", "dataset-label", "dataset-feature",
         "dataset-n", "dataset-d", "model-weight", "model-layer-dims",
+        "weights-missing-id", "weights-extra-id", "weights-duplicate-id",
+        "models-duplicate-id", "mea-duplicate-id", "estimate-duplicate-id",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -247,6 +282,13 @@ class TestExitCodes:
             "model-layer-dims": model.format("-1 -1 tanh", "1"),
         }.get(probe, ""))
         train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
+        model_a, model_b = id_models(tmp_path)
+        weights = tmp_path / "w.weights"
+        ids = {"weights-missing-id": "a,c", "weights-extra-id": "a,b,c",
+               "weights-duplicate-id": "a,a"}.get(probe, "a,b").split(",")
+        weights.write_text(weights_text(ids))
+        adapt = ("adapt", "--paradigm", "msfda", "--target", str(moons_file), "--iterations", "1")
+        msfda = (*adapt, "--weights", str(weights), "--model", str(model_a))
         argv, needle = {  # needle: what the one-line error must name
             "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
             "config-float": ((*train, "--config", str(cfg)), "'learning_rate': 'fast'"),
@@ -262,6 +304,15 @@ class TestExitCodes:
             "dataset-d": (("verify", "dataset", str(bad)), "d=-1"),
             "model-weight": (("verify", "model", str(bad)), "'abc'"),
             "model-layer-dims": (("verify", "model", str(bad)), "line 3"),
+            "weights-missing-id": ((*msfda, "--model", str(model_b)), "['a', 'c']"),
+            "weights-extra-id": ((*msfda, "--model", str(model_b)), "['a', 'b', 'c']"),
+            "weights-duplicate-id": ((*msfda, "--model", str(model_b)), "['a', 'a']"),
+            "models-duplicate-id": ((*msfda, "--model", str(model_a)), "['a', 'a']"),
+            "mea-duplicate-id": ((*adapt, "--weights", "mea", "--model", str(model_a),
+                                  "--model", str(model_a)), "['a', 'a']"),
+            "estimate-duplicate-id": (("estimate", "--model", str(model_a), "--model",
+                                       str(model_a), "--target", str(moons_file),
+                                       "--out", str(weights)), "['a', 'a']"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err

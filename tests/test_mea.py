@@ -29,6 +29,12 @@ def weights_text(w_t, w_s, lam, ids=("a", "b")):
     return format_weights(combine_weights(np.array(w_t), np.array(w_s), lam), list(ids))
 
 
+def fallback_text(lam):
+    """A confidence-only weights file whose lambda line reads `lam`; lambda enters no vector."""
+    text = format_weights(combine_weights(np.array([0.25, 0.75]), None, 1.0), ["a", "b"])
+    return text.replace("lambda 1\n", f"lambda {lam}\n")
+
+
 def dataset_with_accuracy(frac, n=10, domain="proxy"):
     """All-positive features; sign_model scores exactly `frac` on it."""
     correct = int(round(frac * n))
@@ -207,7 +213,8 @@ class TestSerialization:
 
     def test_weights_roundtrip_bit_exact(self):
         est = self._estimate()
-        back = parse_weights(format_weights(est, ["a", "b"]))
+        back, ids = parse_weights(format_weights(est, ["a", "b"]))
+        assert ids == ["a", "b"]
         assert np.array_equal(back.w_s, est.w_s)
         assert np.array_equal(back.w_t, est.w_t)
         assert np.array_equal(back.w_raw, est.w_raw)
@@ -217,7 +224,7 @@ class TestSerialization:
 
     def test_fallback_roundtrip(self):
         est = combine_weights(np.array([0.25, 0.75]), None, 2.0)
-        back = parse_weights(format_weights(est, ["a", "b"]))
+        back, _ = parse_weights(format_weights(est, ["a", "b"]))
         assert back.fallback and back.w_s is None
 
     def test_parse_rejects_wrong_magic(self):
@@ -235,8 +242,11 @@ class TestSerialization:
         (None, weights_text([0.2, 0.3, 0.5], [0.5, 0.25, 0.25], 1.0)),  # two ids, three weights
         ("models a,b\n", ""),
         (None, weights_text([0.2, 0.8], [0.6, 0.4], 0.0).replace("fallback false", "fallback true")),
+        (None, fallback_text("-0.5")),
+        (None, fallback_text("inf")),
     ], ids=["only-w_final", "no-lambda", "bad-lambda", "bad-entry", "absent-w_t", "nan-entry",
-            "extra-entry", "models-count", "no-models", "fallback-with-w_s"])
+            "extra-entry", "models-count", "no-models", "fallback-with-w_s", "negative-lambda",
+            "infinite-lambda"])
     def test_malformed_file_is_format_error(self, tmp_path, capsys, old, new):
         text = format_weights(self._estimate(), ["a", "b"])
         assert old is None or old in text

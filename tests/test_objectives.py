@@ -14,16 +14,16 @@ from shiftlab.objectives import (
     cross_entropy_probs_grad,
     diversity_loss,
     diversity_probs_grad,
+    ensemble_weights,
     entropy_loss,
     entropy_probs_grad,
     im_loss,
     im_probs_grad,
+    mix_probs,
     mmd_rbf,
     mmd_rbf_grad,
-    msfda_loss,
     _sq_dists,
     softmax_probs_to_logits_grad,
-    weighted_ensemble_probs,
 )
 
 
@@ -66,11 +66,11 @@ class TestCrossEntropy:
         probs = np.array([[0.9, 0.1], [0.25, 0.75]])
         labels = np.array([0, 1])
         expected = -(np.log(0.9 + EPS) + np.log(0.75 + EPS)) / 2
-        assert cross_entropy(probs, labels).value == pytest.approx(expected, abs=1e-12)
+        assert cross_entropy(probs, labels) == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_prediction_near_zero(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert cross_entropy(probs, np.array([0, 1])).value == pytest.approx(0.0, abs=1e-5)
+        assert cross_entropy(probs, np.array([0, 1])) == pytest.approx(0.0, abs=1e-5)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
@@ -78,7 +78,7 @@ class TestCrossEntropy:
         labels = rng.integers(0, 3, size=6)
         g = cross_entropy_probs_grad(probs, labels)
         # eps below the simplex-check tolerance so perturbed rows stay valid
-        fd = fd_grad(lambda: cross_entropy(probs, labels).value, probs, eps=1e-7)
+        fd = fd_grad(lambda: cross_entropy(probs, labels), probs, eps=1e-7)
         # unconstrained FD: only the picked entries carry gradient
         assert np.allclose(g, fd, atol=1e-4)
 
@@ -95,25 +95,22 @@ class TestCrossEntropy:
 class TestEntropyAndDiversity:
     def test_uniform_rows_maximize_entropy(self):
         uniform = np.full((4, 3), 1.0 / 3.0)
-        assert entropy_loss(uniform).value == pytest.approx(np.log(3.0), abs=1e-5)
+        assert entropy_loss(uniform) == pytest.approx(np.log(3.0), abs=1e-5)
         peaked = np.array([[1.0, 0.0, 0.0]] * 4)
-        assert entropy_loss(peaked).value == pytest.approx(0.0, abs=1e-4)
+        assert entropy_loss(peaked) == pytest.approx(0.0, abs=1e-4)
 
     def test_diversity_minimized_at_uniform_marginal(self):
         # two confidently different rows -> uniform marginal -> -log 2
         probs = np.array([[0.99, 0.01], [0.01, 0.99]])
-        assert diversity_loss(probs).value == pytest.approx(-np.log(2.0), abs=1e-5)
+        assert diversity_loss(probs) == pytest.approx(-np.log(2.0), abs=1e-5)
         # collapsed predictions -> marginal entropy ~0 -> loss ~0 (larger)
         collapsed = np.array([[0.99, 0.01], [0.99, 0.01]])
-        assert diversity_loss(collapsed).value > diversity_loss(probs).value
+        assert diversity_loss(collapsed) > diversity_loss(probs)
 
     def test_im_is_sum_of_parts(self):
         probs = random_probs(np.random.default_rng(3), 8, 4)
         total = im_loss(probs)
-        assert total.value == pytest.approx(
-            entropy_loss(probs).value + diversity_loss(probs).value, abs=1e-12
-        )
-        assert np.allclose(total.per_sample, entropy_loss(probs).per_sample)
+        assert total == pytest.approx(entropy_loss(probs) + diversity_loss(probs), abs=1e-12)
 
     @pytest.mark.parametrize(
         "loss,grad",
@@ -126,7 +123,7 @@ class TestEntropyAndDiversity:
     def test_grads_match_fd(self, loss, grad):
         probs = random_probs(np.random.default_rng(4), 5, 3)
         g = grad(probs)
-        fd = fd_grad(lambda: loss(probs).value, probs, eps=1e-7)
+        fd = fd_grad(lambda: loss(probs), probs, eps=1e-7)
         assert np.allclose(g, fd, atol=1e-5)
 
 
@@ -282,33 +279,27 @@ class TestEnsemble:
     def _models(self, n=2):
         return [init_model(2, 4, 3, seed=i, domain_id=f"d{i}") for i in range(n)]
 
+    def _mix(self, models, weights, X):
+        w = ensemble_weights(models, weights)
+        return mix_probs(w, {i: forward(m, X).probs for i, m in enumerate(models) if w[i] != 0.0})
+
     def test_single_model_weight_one(self):
         models = self._models(2)
         X = np.random.default_rng(14).normal(size=(5, 2))
-        ens = weighted_ensemble_probs(models, [1.0, 0.0], X)
+        ens = self._mix(models, [1.0, 0.0], X)
         assert np.array_equal(ens, forward(models[0], X)[2])
 
     def test_convex_combination(self):
         models = self._models(2)
         X = np.random.default_rng(15).normal(size=(5, 2))
-        ens = weighted_ensemble_probs(models, [0.3, 0.7], X)
+        ens = self._mix(models, [0.3, 0.7], X)
         manual = 0.3 * forward(models[0], X)[2] + 0.7 * forward(models[1], X)[2]
         assert np.allclose(ens, manual, atol=1e-15)
         assert np.allclose(ens.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rejects_non_simplex_weights(self):
         models = self._models(2)
-        X = np.zeros((2, 2))
         with pytest.raises(ParameterError):
-            weighted_ensemble_probs(models, [0.5, 0.6], X)
+            ensemble_weights(models, [0.5, 0.6])
         with pytest.raises(ParameterError):
-            weighted_ensemble_probs(models, [-0.1, 1.1], X)
-
-    def test_msfda_loss_equals_im_of_ensemble(self):
-        models = self._models(3)
-        X = np.random.default_rng(16).normal(size=(10, 2))
-        w = np.array([0.2, 0.5, 0.3])
-        ens = weighted_ensemble_probs(models, w, X)
-        assert msfda_loss(models, w, X).value == pytest.approx(
-            im_loss(ens).value, abs=1e-15
-        )
+            ensemble_weights(models, [-0.1, 1.1])
