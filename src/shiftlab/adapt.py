@@ -56,6 +56,8 @@ class AdaptationConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0 or self.batch_size < 1 or self.pseudo_refresh < 1:
             raise ParameterError("iterations, batch_size and pseudo_refresh must be positive")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "momentum", "lambda_uda", "lambda_mea", "beta_pseudo"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:

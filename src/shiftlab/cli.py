@@ -40,6 +40,7 @@ CONFIG_SECTIONS = {"adapt"}
 def read_config(path) -> dict:
     """Parse a flat `key = value` config document with [section] headers."""
     config: dict = {}
+    first_line: dict = {}  # (section, key) -> the line that set it
     section = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
@@ -54,7 +55,12 @@ def read_config(path) -> dict:
         if "=" not in line or section is None:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value' inside a section")
         key, _, value = line.partition("=")
-        config[section][key.strip()] = value.strip()
+        key = key.strip()
+        if (section, key) in first_line:
+            raise ParameterError(f"{path}:{lineno}: key {key!r} given twice in [{section}], "
+                                 f"first on line {first_line[section, key]}")
+        first_line[section, key] = lineno
+        config[section][key] = value.strip()
     return config
 
 
@@ -100,11 +106,18 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if args.generator == "two-moons":
         shift = ShiftSpec("rotation", args.rotation) if args.rotation else None
         ds = gen_two_moons(args.n, args.noise, shift, seed=args.seed, domain_id=args.domain)
     else:
-        priors = [float(v) for v in args.priors.split(",")]
+        try:
+            priors = [float(v) for v in args.priors.split(",")]
+        except ValueError:
+            raise ParameterError(
+                f"--priors needs comma-separated numbers, got {args.priors!r}"
+            ) from None
         ds = gen_gaussian_blobs(
             args.n, args.classes, args.dim, args.separation, priors,
             seed=args.seed, domain_id=args.domain,

@@ -100,19 +100,19 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         if self.bandwidths is not None and (
-            not self.bandwidths or any(b <= 0 for b in self.bandwidths)
+            not self.bandwidths or not all(0 < b < np.inf for b in self.bandwidths)
         ):
-            raise ParameterError("explicit kernel needs a non-empty list of positive bandwidths")
+            raise ParameterError("explicit kernel needs a non-empty list of positive finite bandwidths")
 
-    def resolve(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def resolve(self, sq: np.ndarray) -> np.ndarray:
+        """Bandwidths for the pooled squared-distance matrix `sq` of one MMD call."""
         if self.bandwidths is not None:
             return np.asarray(self.bandwidths, dtype=np.float64)
-        pooled = np.vstack([X, Y])
-        sq = _sq_dists(pooled, pooled)
         # sq is exactly symmetric (A @ A.T is computed as a symmetric product),
         # so its off-diagonal is the strict upper triangle with every value
         # doubled, and both have the same median, bit for bit.
-        upper = sq[np.triu(np.ones(sq.shape, dtype=bool), 1)]
+        r = np.arange(len(sq))
+        upper = sq[r[:, None] < r]
         sigma2 = _median(upper) if upper.size else 1.0
         if sigma2 <= 0:
             sigma2 = 1.0
@@ -141,17 +141,21 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
+def _mmd_blocks(X, Y, kernel: KernelSpec | None):
+    """X, Y, bandwidths and the xx, yy, xy blocks of one pooled squared-distance matrix."""
+    X, Y = (np.asarray(A, dtype=np.float64) for A in (X, Y))
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1] or not (len(X) and len(Y)):
+        raise ParameterError("X and Y must be non-empty 2-D arrays with matching column count")
+    n = X.shape[0]
+    pooled = np.vstack([X, Y])
+    sq = _sq_dists(pooled, pooled)  # one object: numpy takes the symmetric product
+    bandwidths = (kernel or KernelSpec()).resolve(sq)
+    return X, Y, bandwidths, (sq[:n, :n], sq[n:, n:], sq[:n, n:])
+
+
 def mmd_rbf(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec | None = None) -> float:
     """Biased (V-statistic) multi-scale RBF MMD estimate."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ParameterError("X and Y must be 2-D with matching column count")
-    if X.shape[0] < 1 or Y.shape[0] < 1:
-        raise ParameterError("X and Y must be non-empty")
-    kernel = kernel or KernelSpec()
-    bandwidths = kernel.resolve(X, Y)
-    dxx, dyy, dxy = _sq_dists(X, X), _sq_dists(Y, Y), _sq_dists(X, Y)
+    _, _, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, kernel)
     total = 0.0
     for s2 in bandwidths:
         total += (
@@ -170,12 +174,8 @@ def mmd_rbf_grad(
     Bandwidths are treated as constants (the median heuristic is resolved
     once, before differentiating).
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    kernel = kernel or KernelSpec()
-    bandwidths = kernel.resolve(X, Y)
+    X, Y, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, kernel)
     n, m = X.shape[0], Y.shape[0]
-    dxx, dyy, dxy = _sq_dists(X, X), _sq_dists(Y, Y), _sq_dists(X, Y)
     value = 0.0
     gx = np.zeros_like(X)
     gy = np.zeros_like(Y)

@@ -262,12 +262,17 @@ class TestExitCodes:
         "dataset-n", "dataset-d", "model-weight", "model-layer-dims",
         "weights-missing-id", "weights-extra-id", "weights-duplicate-id",
         "models-duplicate-id", "mea-duplicate-id", "estimate-duplicate-id",
+        "gen-negative-seed", "train-negative-seed", "config-negative-seed", "blobs-priors",
+        "config-duplicate-key",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("[adapt]\n" + ("iterations = abc\n" if probe == "config-int"
-                                      else "learning_rate = fast\n"))
+        cfg.write_text("[adapt]\n" + {
+            "config-int": "iterations = abc\n",
+            "config-negative-seed": "seed = -1\n",
+            "config-duplicate-key": "iterations = 3\niterations = 4\n",
+        }.get(probe, "learning_rate = fast\n"))
         non_ascii = tmp_path / "data.csv"
         non_ascii.write_bytes(b"\xc3\xa9\n")
         dataset = "#shiftlab-dataset v1 n={} d={} K=2 domain=x\n{}\n"
@@ -313,6 +318,14 @@ class TestExitCodes:
             "estimate-duplicate-id": (("estimate", "--model", str(model_a), "--model",
                                        str(model_a), "--target", str(moons_file),
                                        "--out", str(weights)), "['a', 'a']"),
+            "gen-negative-seed": (("gen", "two-moons", "--seed", "-1", "--out", str(bad)),
+                                  "got -1"),
+            "train-negative-seed": ((*train, "--seed", "-1"), "got -1"),
+            "config-negative-seed": ((*train, "--config", str(cfg)), "got -1"),
+            "blobs-priors": (("gen", "blobs", "--priors", "0.5,x", "--out", str(bad)),
+                             "'0.5,x'"),
+            "config-duplicate-key": ((*train, "--config", str(cfg)),
+                                     "3: key 'iterations' given twice in [adapt], first on line 2"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err

@@ -42,6 +42,20 @@ def naive_mmd(X, Y, bandwidths):
     return total / len(bandwidths)
 
 
+def three_product_mmd(X, Y, bandwidths):
+    """The MMD from three separate distance products, as mmd_rbf computed it
+    before it sliced the blocks out of one pooled matrix."""
+    dxx, dyy, dxy = _sq_dists(X, X), _sq_dists(Y, Y), _sq_dists(X, Y)
+    total = 0.0
+    for s2 in bandwidths:
+        total += (
+            np.exp(-dxx / (2.0 * s2)).mean()
+            + np.exp(-dyy / (2.0 * s2)).mean()
+            - 2.0 * np.exp(-dxy / (2.0 * s2)).mean()
+        )
+    return float(total / len(bandwidths))
+
+
 def fd_grad(f, A, eps=1e-6):
     g = np.zeros_like(A)
     it = np.nditer(A, flags=["multi_index"])
@@ -197,7 +211,40 @@ class TestMmd:
             sq = _sq_dists(pooled, pooled)
             s2 = float(np.median(sq[~np.eye(n + m, dtype=bool)]))
             s2 = s2 if s2 > 0 else 1.0
-            assert KernelSpec().resolve(X, Y).tolist() == [0.5 * s2, s2, 2.0 * s2]
+            assert KernelSpec().resolve(sq).tolist() == [0.5 * s2, s2, 2.0 * s2]
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 800])
+    def test_median_heuristic_reads_the_strict_upper_triangle(self, size):
+        # on a matrix that is not symmetric, only the np.triu(..., 1) entries count
+        sq = np.random.default_rng(size).random((size, size))
+        sq[np.tril_indices(size)] += 10.0
+        upper = sq[np.triu(np.ones((size, size), dtype=bool), 1)]
+        s2 = float(np.median(upper)) if upper.size else 1.0
+        assert KernelSpec().resolve(sq).tolist() == [0.5 * s2, s2, 2.0 * s2]
+
+    SHAPES = [(1, 1), (1, 5), (7, 3), (13, 29), (64, 64), (400, 400)]
+
+    @pytest.mark.parametrize("n, m", SHAPES)
+    @pytest.mark.parametrize("bandwidths", [None, [0.7, 2.0]], ids=["median", "explicit"])
+    def test_pooled_blocks_match_three_products(self, n, m, bandwidths):
+        # slicing the pooled matrix may move the last bits on some shapes
+        rng = np.random.default_rng([n, m])
+        X = np.tanh(rng.normal(size=(n, 64)))
+        Y = np.tanh(rng.normal(size=(m, 64)) + 0.5)
+        kernel = KernelSpec(bandwidths)
+        pooled = np.vstack([X, Y])
+        ref = three_product_mmd(X, Y, kernel.resolve(_sq_dists(pooled, pooled)))
+        assert mmd_rbf(X, Y, kernel) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", SHAPES + [(8, 8), (50, 64), (100, 400)])
+    @pytest.mark.parametrize("bandwidths", [None, [0.7, 2.0]], ids=["median", "explicit"])
+    def test_grad_value_equals_mmd_exactly(self, n, m, bandwidths):
+        # both read the same blocks in the same order, on any BLAS
+        rng = np.random.default_rng([n, m, 1])
+        X = rng.normal(size=(n, 64))
+        Y = rng.normal(size=(m, 64)) + 0.3
+        kernel = KernelSpec(bandwidths)
+        assert mmd_rbf_grad(X, Y, kernel)[0] == mmd_rbf(X, Y, kernel)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -238,11 +285,22 @@ class TestMmd:
         with pytest.raises(ParameterError):
             mmd_rbf(np.zeros((3, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("fn", [mmd_rbf, mmd_rbf_grad])
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+        (np.zeros((0, 2)), np.ones((3, 2))),
+        (np.ones((3, 2)), np.zeros((0, 2))),
+        (np.zeros(3), np.zeros((3, 1))),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+    ], ids=["columns", "empty-x", "empty-y", "1-d", "3-d"])
+    def test_rejects_malformed_input(self, fn, X, Y):
+        with pytest.raises(ParameterError):
+            fn(X, Y)
+
     def test_rejects_bad_kernel(self):
-        with pytest.raises(ParameterError):
-            KernelSpec([-1.0])
-        with pytest.raises(ParameterError):
-            KernelSpec([])
+        for bandwidths in ([-1.0], [], [0.0], [np.nan], [np.inf], [1.0, np.nan]):
+            with pytest.raises(ParameterError):
+                KernelSpec(bandwidths)
 
     @settings(max_examples=25, deadline=None)
     @given(
