@@ -285,13 +285,10 @@ def _adapt_loop(
             ce_value = cross_entropy(ens, pl[idx])
             dprobs = dprobs + cfg.beta_pseudo * cross_entropy_probs_grad(ens, pl[idx])
 
-        grads = {
-            i: backward(models[i], t, softmax_probs_to_logits_grad(t.probs, weights[i] * dprobs))
-            for i, t in tapes.items()
-        }
-
         vis_ce_value = 0.0
         mmd_value = 0.0
+        vis_grads = []  # (model index, gradient) in the order they are added
+        dfeat = dict.fromkeys(tapes)  # summed MMD gradient on each target tape's features
         if visible_sources:
             scale = 1.0 / len(visible_sources)
             for vs, vstream in zip(visible_sources, vs_streams):
@@ -306,10 +303,21 @@ def _adapt_loop(
                     if mode == "ce+mmd" and lam > 0:
                         mv, gs, gt = mmd_rbf_grad(ts.features, tapes[i].features)
                         mmd_value += scale * weights[i] * mv
-                        grads[i].add_(backward(models[i], ts, dlog, lam * scale * weights[i] * gs))
-                        grads[i].add_(backward(models[i], tapes[i], dfeat=lam * scale * weights[i] * gt))
+                        c = lam * scale * weights[i]
+                        dfeat[i] = c * gt if dfeat[i] is None else dfeat[i] + c * gt
+                        vis_grads.append((i, backward(models[i], ts, dlog, c * gs)))
                     else:
-                        grads[i].add_(backward(models[i], ts, dlog))
+                        vis_grads.append((i, backward(models[i], ts, dlog)))
+
+        # one backward per target tape, carrying its IM/CE logits and MMD features
+        grads = {
+            i: backward(
+                models[i], t, softmax_probs_to_logits_grad(t.probs, weights[i] * dprobs), dfeat[i]
+            )
+            for i, t in tapes.items()
+        }
+        for i, g in vis_grads:
+            grads[i].add_(g)
 
         for i, g in grads.items():
             g.zero_classifier_()  # classifier stays the source hypothesis

@@ -24,7 +24,7 @@ from .adapt import (
     train_source,
     train_uda,
 )
-from .datagen import Dataset, ShiftSpec, gen_two_moons, make_adversarial_source, split
+from .datagen import Dataset, gen_two_moons, make_adversarial_source, split
 from .errors import ParameterError
 from .records import ExperimentRecord, TrajectoryRow, write_trajectory
 
@@ -33,7 +33,7 @@ REPORT_MAGIC = "#shiftlab-report v1"
 PARADIGMS = ("source-only", "uda", "sfda", "msfda-uniform", "msfda-mea", "expanded-base")
 
 DEFAULT_WINDOW = 50  # logged evaluations
-DEFAULT_TOLERANCE = 0.005
+DEFAULT_TOLERANCE = 0.01
 MIN_TARGET_N = 20
 
 # Supervised source training tolerates a hotter step size than the
@@ -52,8 +52,7 @@ class MoonsRecipe:
     adversarial: bool = False
 
     def build(self, seed: int, domain_id: str) -> Dataset:
-        shift = ShiftSpec("rotation", self.rotation) if self.rotation else None
-        ds = gen_two_moons(self.n, self.noise, shift, seed=seed, domain_id=domain_id)
+        ds = gen_two_moons(self.n, self.noise, self.rotation, seed=seed, domain_id=domain_id)
         if self.adversarial:
             ds = make_adversarial_source(ds, seed=seed)
         return ds
@@ -170,7 +169,7 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
             record.scenario = spec.name
             record.summary["paradigm"] = spec.paradigm
             record.summary["seed"] = seed
-            conv = iterations_to_convergence(record, tolerance=0.01)
+            conv = iterations_to_convergence(record)
             record.summary["iterations_to_convergence"] = conv
             record.summary["converged"] = conv is not None
             records.append(record)

@@ -24,7 +24,7 @@ from .adapt import (
     train_source,
     train_uda,
 )
-from .datagen import ShiftSpec, gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
+from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
 from .errors import NumericError, ParameterError, ShiftLabError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
 from .records import write_trajectory
@@ -106,11 +106,8 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.seed < 0:
-        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     if args.generator == "two-moons":
-        shift = ShiftSpec("rotation", args.rotation) if args.rotation else None
-        ds = gen_two_moons(args.n, args.noise, shift, seed=args.seed, domain_id=args.domain)
+        ds = gen_two_moons(args.n, args.noise, args.rotation, seed=args.seed, domain_id=args.domain)
     else:
         try:
             priors = [float(v) for v in args.priors.split(",")]

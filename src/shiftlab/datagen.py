@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import FormatError, ParameterError
 
-SHIFT_KINDS = ("rotation", "translation")
-
 DATASET_MAGIC = "#shiftlab-dataset v1"
 
 # 17 significant digits round-trips any float64 exactly.
@@ -61,37 +59,25 @@ class Dataset:
         return Dataset(self.features.copy(), None, self.num_classes, self.domain_id)
 
 
-@dataclass
-class ShiftSpec:
-    """A single controllable distribution shift applied at generation time."""
-
-    kind: str
-    magnitude: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in SHIFT_KINDS:
-            raise ParameterError(f"unknown shift kind {self.kind!r}; valid: {SHIFT_KINDS}")
-        if self.kind == "rotation":
-            m = float(self.magnitude)
-            if not (0.0 <= m < 360.0):
-                raise ParameterError(f"rotation magnitude must be in [0, 360), got {m}")
-
-
 def _rotate(points: np.ndarray, degrees: float, center: np.ndarray) -> np.ndarray:
     theta = np.deg2rad(degrees)
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     return (points - center) @ rot.T + center
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def gen_two_moons(
     n: int,
     noise: float,
-    shift: ShiftSpec | None = None,
+    rotation: float = 0.0,
     seed: int = 0,
     domain_id: str = "moons",
 ) -> Dataset:
-    """Two interleaving half circles with optional rotation/translation shift.
+    """Two interleaving half circles, optionally rotated by `rotation` degrees.
 
     Class 0 lies on the upper unit semicircle centered at the origin; class 1
     on the lower unit semicircle centered at (1, 0.5). Rotation is applied
@@ -101,6 +87,9 @@ def gen_two_moons(
         raise ParameterError(f"need n >= 2, got {n}")
     if noise < 0:
         raise ParameterError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= rotation < 360.0:
+        raise ParameterError(f"rotation must be in [0, 360), got {rotation}")
+    _check_seed(seed)
     n0 = (n + 1) // 2
     n1 = n - n0
     t0 = np.linspace(0.0, np.pi, n0)
@@ -116,15 +105,8 @@ def gen_two_moons(
         rng = np.random.default_rng(seed)
         features = clean + rng.normal(0.0, noise, size=clean.shape)
 
-    if shift is not None:
-        if shift.kind == "rotation":
-            features = _rotate(features, float(shift.magnitude), centroid)
-        elif shift.kind == "translation":
-            features = features + float(shift.magnitude)
-        else:
-            raise ParameterError(
-                f"two-moons supports rotation/translation shifts, not {shift.kind!r}"
-            )
+    if rotation:  # rotating by 0 would still move the last bits
+        features = _rotate(features, float(rotation), centroid)
 
     return Dataset(features, labels, 2, domain_id)
 
@@ -149,7 +131,11 @@ def gen_gaussian_blobs(
         raise ParameterError(f"need num_classes >= 2, got {num_classes}")
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    priors = np.asarray(priors, dtype=np.float64)
+    _check_seed(seed)
+    try:
+        priors = np.asarray(priors, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"priors must be numbers, got {priors!r}") from None
     if priors.shape != (num_classes,) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-9:
         raise ParameterError("priors must be a length-K probability vector summing to 1")
 
@@ -187,6 +173,7 @@ def make_adversarial_source(base: Dataset, seed: int = 0) -> Dataset:
     """
     if base.labels is None:
         raise ParameterError("adversarial source requires a labeled dataset")
+    _check_seed(seed)
     perm = _derangement(base.num_classes, np.random.default_rng(seed))
     return Dataset(base.features.copy(), perm[base.labels], base.num_classes, base.domain_id)
 
@@ -204,6 +191,7 @@ def split(ds: Dataset, train_fraction: float, seed: int = 0) -> tuple[Dataset, D
     n_train = int(round(n * train_fraction))
     if n_train < 1 or n_train >= n:
         raise ParameterError(f"split of n={n} at f={train_fraction} leaves an empty side")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
 
     if ds.labels is None:

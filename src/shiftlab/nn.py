@@ -57,10 +57,6 @@ class SourceModel:
         return self.extractor[0].weight.shape[1]
 
     @property
-    def feature_dim(self) -> int:
-        return self.extractor[-1].weight.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.classifier.weight.shape[0]
 

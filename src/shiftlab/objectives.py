@@ -7,8 +7,6 @@ rows (chained through softmax by the trainers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -89,34 +87,17 @@ def softmax_probs_to_logits_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.nd
     return probs * (dprobs - inner)
 
 
-@dataclass
-class KernelSpec:
-    """RBF kernel bandwidths on the squared-distance scale (sigma^2).
-
-    A list is used as given; None selects the median heuristic per call.
-    """
-
-    bandwidths: list | None = None
-
-    def __post_init__(self) -> None:
-        if self.bandwidths is not None and (
-            not self.bandwidths or not all(0 < b < np.inf for b in self.bandwidths)
-        ):
-            raise ParameterError("explicit kernel needs a non-empty list of positive finite bandwidths")
-
-    def resolve(self, sq: np.ndarray) -> np.ndarray:
-        """Bandwidths for the pooled squared-distance matrix `sq` of one MMD call."""
-        if self.bandwidths is not None:
-            return np.asarray(self.bandwidths, dtype=np.float64)
-        # sq is exactly symmetric (A @ A.T is computed as a symmetric product),
-        # so its off-diagonal is the strict upper triangle with every value
-        # doubled, and both have the same median, bit for bit.
-        r = np.arange(len(sq))
-        upper = sq[r[:, None] < r]
-        sigma2 = _median(upper) if upper.size else 1.0
-        if sigma2 <= 0:
-            sigma2 = 1.0
-        return np.array([0.5 * sigma2, sigma2, 2.0 * sigma2])
+def median_bandwidths(sq: np.ndarray) -> np.ndarray:
+    """Median-heuristic bandwidths for the pooled squared-distance matrix `sq`."""
+    # sq is exactly symmetric (A @ A.T is computed as a symmetric product),
+    # so its off-diagonal is the strict upper triangle with every value
+    # doubled, and both have the same median, bit for bit.
+    r = np.arange(len(sq))
+    upper = sq[r[:, None] < r]
+    sigma2 = _median(upper) if upper.size else 1.0
+    if sigma2 <= 0:
+        sigma2 = 1.0
+    return np.array([0.5 * sigma2, sigma2, 2.0 * sigma2])
 
 
 def _median(values: np.ndarray) -> float:
@@ -141,21 +122,28 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
-def _mmd_blocks(X, Y, kernel: KernelSpec | None):
+def _mmd_blocks(X, Y, bandwidths):
     """X, Y, bandwidths and the xx, yy, xy blocks of one pooled squared-distance matrix."""
     X, Y = (np.asarray(A, dtype=np.float64) for A in (X, Y))
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1] or not (len(X) and len(Y)):
         raise ParameterError("X and Y must be non-empty 2-D arrays with matching column count")
+    if bandwidths is not None and not (len(bandwidths) and all(0 < b < np.inf for b in bandwidths)):
+        raise ParameterError(f"bandwidths must be non-empty, positive and finite, got {bandwidths}")
     n = X.shape[0]
     pooled = np.vstack([X, Y])
     sq = _sq_dists(pooled, pooled)  # one object: numpy takes the symmetric product
-    bandwidths = (kernel or KernelSpec()).resolve(sq)
-    return X, Y, bandwidths, (sq[:n, :n], sq[n:, n:], sq[:n, n:])
+    if bandwidths is None:
+        bandwidths = median_bandwidths(sq)
+    return X, Y, np.asarray(bandwidths, dtype=np.float64), (sq[:n, :n], sq[n:, n:], sq[:n, n:])
 
 
-def mmd_rbf(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec | None = None) -> float:
-    """Biased (V-statistic) multi-scale RBF MMD estimate."""
-    _, _, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, kernel)
+def mmd_rbf(X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None) -> float:
+    """Biased (V-statistic) multi-scale RBF MMD estimate.
+
+    `bandwidths` are RBF sigma^2 values, used as given; None selects the
+    median heuristic of the pooled samples, `median_bandwidths`.
+    """
+    _, _, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, bandwidths)
     total = 0.0
     for s2 in bandwidths:
         total += (
@@ -167,14 +155,14 @@ def mmd_rbf(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec | None = None) -> f
 
 
 def mmd_rbf_grad(
-    X: np.ndarray, Y: np.ndarray, kernel: KernelSpec | None = None
+    X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """MMD value plus analytic gradients with respect to X and Y rows.
 
     Bandwidths are treated as constants (the median heuristic is resolved
     once, before differentiating).
     """
-    X, Y, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, kernel)
+    X, Y, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, bandwidths)
     n, m = X.shape[0], Y.shape[0]
     value = 0.0
     gx = np.zeros_like(X)

@@ -16,11 +16,10 @@ from shiftlab.bench import (
     negative_transfer_suite,
     overfitting_suite,
 )
-from shiftlab.datagen import ShiftSpec, gen_two_moons
+from shiftlab.datagen import gen_two_moons
 from shiftlab.mea import combine_weights, confidence_weights, estimate
 from shiftlab.nn import Layer, SourceModel, backward, forward, init_model
 from shiftlab.objectives import (
-    KernelSpec,
     cross_entropy,
     cross_entropy_probs_grad,
     diversity_loss,
@@ -105,7 +104,7 @@ class TestCriterion1Gradients:
             model = init_model(2, 4, 2, depth=2, seed=100 + rep)
             X = rng.normal(size=(5, 2))
             Y = rng.normal(size=(6, 2)) + 0.5
-            kernel = KernelSpec([0.8, 1.5])
+            kernel = [0.8, 1.5]
 
             def value():
                 return mmd_rbf(forward(model, X)[0], forward(model, Y)[0], kernel)
@@ -195,19 +194,19 @@ class TestCriterion3MmdProperties:
             n, m = int(rng.integers(5, 200)), int(rng.integers(5, 200))
             X = rng.normal(size=(n, 2))
             Y = rng.normal(size=(m, 2)) + rng.uniform(0, 2)
-            kernel = KernelSpec([float(rng.uniform(0.5, 3.0))])
+            kernel = [float(rng.uniform(0.5, 3.0))]
             v = mmd_rbf(X, Y, kernel)
             ok &= abs(v - mmd_rbf(Y, X, kernel)) <= 1e-12  # symmetry
             ok &= v >= -1e-9  # non-negativity
             if n <= 60 and m <= 60:  # keep the O(n^2) python oracle affordable
-                worst_oracle = max(worst_oracle, abs(v - naive(X, Y, kernel.bandwidths)))
+                worst_oracle = max(worst_oracle, abs(v - naive(X, Y, kernel)))
         # oracle agreement on 10 dedicated small instances
         for rep in range(10):
             X = rng.normal(size=(12, 3))
             Y = rng.normal(size=(9, 3)) + 1.0
             bw = [0.7, 1.4]
             worst_oracle = max(
-                worst_oracle, abs(mmd_rbf(X, Y, KernelSpec(bw)) - naive(X, Y, bw))
+                worst_oracle, abs(mmd_rbf(X, Y, bw) - naive(X, Y, bw))
             )
         Z = rng.normal(size=(30, 2))
         ok &= abs(mmd_rbf(Z, Z.copy())) <= 1e-9  # zero on identical samples
@@ -221,9 +220,7 @@ class TestCriterion4Degenerations:
     def test_uda_lambda_zero_and_msfda_single_weight(self):
         t0 = time.perf_counter()
         src = gen_two_moons(200, 0.1, seed=3, domain_id="src")
-        tgt = gen_two_moons(
-            200, 0.1, ShiftSpec("rotation", 30.0), seed=4, domain_id="tgt"
-        ).unlabeled()
+        tgt = gen_two_moons(200, 0.1, 30.0, seed=4, domain_id="tgt").unlabeled()
         cfg = AdaptationConfig(iterations=150, seed=3, lambda_uda=0.0)
         uda = train_uda(src, tgt, cfg)
         plain = train_source(src, cfg)
@@ -239,8 +236,7 @@ class TestCriterion4Degenerations:
         )
 
         models = [
-            train_source(gen_two_moons(200, 0.1, ShiftSpec("rotation", r) if r else None,
-                                       seed=10 + i, domain_id=f"s{i}"),
+            train_source(gen_two_moons(200, 0.1, r, seed=10 + i, domain_id=f"s{i}"),
                          AdaptationConfig(iterations=150, seed=20 + i)).model
             for i, r in enumerate((0.0, 10.0))
         ]

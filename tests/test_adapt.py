@@ -14,14 +14,13 @@ from shiftlab.adapt import (
     train_source,
     train_uda,
 )
-from shiftlab.datagen import ShiftSpec, gen_gaussian_blobs, gen_two_moons
+from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
 from shiftlab.errors import ParameterError
-from shiftlab.nn import accuracy, forward, init_model
+from shiftlab.nn import accuracy, backward, forward, init_model
 
 
 def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
-    shift = ShiftSpec("rotation", rotation) if rotation else None
-    return gen_two_moons(n, 0.1, shift, seed=seed, domain_id=domain_id)
+    return gen_two_moons(n, 0.1, rotation, seed=seed, domain_id=domain_id)
 
 
 def params_equal(a, b):
@@ -272,6 +271,23 @@ class TestExpandedBase:
 
         monkeypatch.setattr(adapt, "forward", counting_forward)
         # beta_pseudo=0 and no eval_set leave out the full-dataset passes
+        train_expanded_base(models, [0.5, 0.5, 0.0], tgt, visible, "ce+mmd",
+                            AdaptationConfig(iterations=1, beta_pseudo=0.0))
+        active = 2
+        assert len(calls) == active * (1 + len(visible))
+
+    def test_one_backward_per_tape(self, monkeypatch):
+        # each target tape takes its IM/CE and summed MMD gradients in one pass
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(3)]
+        visible = [moons(seed=50 + j, domain_id=f"v{j}") for j in range(2)]
+        tgt = moons(rotation=20.0, seed=52, domain_id="t").unlabeled()
+        calls = []
+
+        def counting_backward(model, tape, dlogits=None, dfeat=None):
+            calls.append(len(tape.features))
+            return backward(model, tape, dlogits, dfeat)
+
+        monkeypatch.setattr(adapt, "backward", counting_backward)
         train_expanded_base(models, [0.5, 0.5, 0.0], tgt, visible, "ce+mmd",
                             AdaptationConfig(iterations=1, beta_pseudo=0.0))
         active = 2

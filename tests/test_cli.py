@@ -346,7 +346,7 @@ class TestExitCodes:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for needle in ("learning_rate=0.05", "momentum=0.9", "hidden=64",
-                       "convergence_window=50", "eval_interval=10"):
+                       "convergence_window=50", "convergence_tolerance=0.01", "eval_interval=10"):
             assert needle in out
 
     def test_defaults_prints_config(self, capsys):

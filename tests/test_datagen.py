@@ -3,7 +3,6 @@ import pytest
 
 from shiftlab.datagen import (
     Dataset,
-    ShiftSpec,
     gen_gaussian_blobs,
     gen_two_moons,
     load_dataset,
@@ -37,20 +36,20 @@ class TestTwoMoons:
 
     def test_rotation_180_reflects_through_centroid(self):
         base = gen_two_moons(100, 0.0, seed=7)
-        rot = gen_two_moons(100, 0.0, ShiftSpec("rotation", 180.0), seed=7)
+        rot = gen_two_moons(100, 0.0, 180.0, seed=7)
         centroid = base.features.mean(axis=0)
         assert np.allclose(rot.features, 2 * centroid - base.features, atol=1e-9)
 
     def test_determinism(self):
-        a = gen_two_moons(500, 0.1, ShiftSpec("rotation", 30.0), seed=3)
-        b = gen_two_moons(500, 0.1, ShiftSpec("rotation", 30.0), seed=3)
+        a = gen_two_moons(500, 0.1, 30.0, seed=3)
+        b = gen_two_moons(500, 0.1, 30.0, seed=3)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_rotation_roundtrip(self):
         base = gen_two_moons(200, 0.05, seed=5)
         centroid = gen_two_moons(200, 0.0, seed=5).features.mean(axis=0)
-        fwd = gen_two_moons(200, 0.05, ShiftSpec("rotation", 73.0), seed=5)
+        fwd = gen_two_moons(200, 0.05, 73.0, seed=5)
         theta = np.deg2rad(-73.0)
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         undone = (fwd.features - centroid) @ rot.T + centroid
@@ -61,25 +60,10 @@ class TestTwoMoons:
         with pytest.raises(ParameterError):
             gen_two_moons(**bad)
 
-    def test_rejects_label_shift_kinds(self):
-        # label shift comes from blob priors and make_adversarial_source, not
-        # from a ShiftSpec; a spec altered after validation is still refused
+    @pytest.mark.parametrize("rotation", [400.0, -1.0, np.nan])
+    def test_rotation_bound(self, rotation):
         with pytest.raises(ParameterError):
-            ShiftSpec("label-prior", np.array([0.5, 0.5]))
-        spec = ShiftSpec("rotation", 0.0)
-        spec.kind = "label-prior"
-        with pytest.raises(ParameterError):
-            gen_two_moons(10, 0.0, spec)
-
-
-class TestShiftSpec:
-    def test_rotation_bound(self):
-        with pytest.raises(ParameterError):
-            ShiftSpec("rotation", 400.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            ShiftSpec("scaling", 2.0)
+            gen_two_moons(10, 0.1, rotation)
 
 
 class TestBlobs:
@@ -100,6 +84,10 @@ class TestBlobs:
     def test_rejects_malformed_priors(self):
         with pytest.raises(ParameterError):
             gen_gaussian_blobs(100, 2, 2, 3.0, [0.7, 0.5], seed=0)
+
+    def test_rejects_non_numeric_prior(self):
+        with pytest.raises(ParameterError, match="'x'"):
+            gen_gaussian_blobs(100, 2, 2, 3.0, [0.5, "x"], seed=0)
 
 
 class TestAdversarialSource:
@@ -164,9 +152,20 @@ class TestSplit:
                 split(ds, f)
 
 
+@pytest.mark.parametrize("make", [
+    lambda seed: gen_two_moons(10, 0.1, seed=seed),
+    lambda seed: gen_gaussian_blobs(10, 2, 2, 3.0, [0.5, 0.5], seed=seed),
+    lambda seed: split(gen_two_moons(10, 0.1), 0.5, seed=seed),
+    lambda seed: make_adversarial_source(gen_two_moons(10, 0.1), seed=seed),
+], ids=["two-moons", "blobs", "split", "adversarial"])
+def test_rejects_negative_seed(make):
+    with pytest.raises(ParameterError, match="got -1"):
+        make(-1)
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
-        ds = gen_two_moons(73, 0.1, ShiftSpec("rotation", 12.0), seed=6)
+        ds = gen_two_moons(73, 0.1, 12.0, seed=6)
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
