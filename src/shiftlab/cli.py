@@ -168,8 +168,7 @@ def _parse_visible(args) -> dict:
         ds = load_dataset(path)
         if ds.labels is None:
             raise ParameterError(f"visible domain {domain!r} must be labeled")
-        ds.domain_id = domain
-        visible[domain] = ds
+        visible[domain] = replace(ds, domain_id=domain)
     return visible
 
 

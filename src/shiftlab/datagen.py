@@ -19,6 +19,19 @@ DATASET_MAGIC = "#shiftlab-dataset v1"
 _FLOAT_FMT = ".17g"
 
 
+def check_domain_id(domain_id: str) -> None:
+    """Raise ParameterError unless `domain_id` is a str of printable ASCII
+    characters other than whitespace, ',' and '='.
+
+    Those three separate the fields of every file shiftlab writes, so an id
+    made of the other characters reads back as itself.
+    """
+    if not (isinstance(domain_id, str) and all("!" <= c <= "~" and c not in ",=" for c in domain_id)):
+        raise ParameterError(
+            f"domain id {domain_id!a} must be printable ASCII without whitespace, ',' or '='"
+        )
+
+
 @dataclass
 class Dataset:
     """A feature matrix tagged with optional labels, class count and domain id."""
@@ -29,6 +42,7 @@ class Dataset:
     domain_id: str
 
     def __post_init__(self) -> None:
+        check_domain_id(self.domain_id)
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ParameterError("features must be a 2-D matrix")

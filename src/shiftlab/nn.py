@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .datagen import check_domain_id
 from .errors import FormatError, NumericError, ParameterError
 
 MODEL_MAGIC = "#shiftlab-model v1"
@@ -37,6 +38,7 @@ class SourceModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_domain_id(self.meta.get("domain_id", ""))
         dims = [layer.weight.shape for layer in self.extractor]
         for (o1, _), (_, i2) in zip(dims, dims[1:]):
             if o1 != i2:

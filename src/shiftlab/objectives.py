@@ -93,7 +93,7 @@ def median_bandwidths(sq: np.ndarray) -> np.ndarray:
     # so its off-diagonal is the strict upper triangle with every value
     # doubled, and both have the same median, bit for bit.
     r = np.arange(len(sq))
-    upper = sq[r[:, None] < r]
+    upper = sq[r[:, None] < r]  # a gathered copy, which _median may reorder
     sigma2 = _median(upper) if upper.size else 1.0
     if sigma2 <= 0:
         sigma2 = 1.0
@@ -101,7 +101,7 @@ def median_bandwidths(sq: np.ndarray) -> np.ndarray:
 
 
 def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-D array, bit for bit.
+    """np.median of a non-empty 1-D array, bit for bit; reorders `values` in place.
 
     np.median partitions around both middle positions (and the maximum, to
     find NaNs); numpy partitions around a single position several times
@@ -110,31 +110,60 @@ def _median(values: np.ndarray) -> float:
     if np.isnan(values).any():
         return float("nan")
     mid = values.size // 2
-    part = np.partition(values, mid)
+    values.partition(mid)
     if values.size % 2:
-        return float(part[mid])
-    return float(np.mean([part[:mid].max(), part[mid]]))
+        return float(values[mid])
+    return float(np.mean([values[:mid].max(), values[mid]]))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+_ROW_CHUNK = 64  # rows of aa + bb held at once while a distance matrix is filled
+
+
+def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances (aa_i + bb_j) - 2 (A @ B.T)_ij, floored at 0, in `out` or a fresh array."""
     aa = (A * A).sum(axis=1)[:, None]
     bb = (B * B).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+    # with A and B one object, numpy takes the symmetric product
+    g = np.matmul(A, B.T, out=np.empty((len(A), len(B))) if out is None else out)
+    g *= 2.0
+    for i in range(0, len(A), _ROW_CHUNK):
+        rows = g[i : i + _ROW_CHUNK]
+        np.subtract(aa[i : i + _ROW_CHUNK] + bb, rows, out=rows)
+    return np.maximum(g, 0.0, out=g)
+
+
+# Holds the pooled distance matrix of each MMD call. It grows to the largest
+# pooled size seen and is then reused, so steady-state calls fault in no fresh
+# pages; it also means no two MMD calls may run at once.
+_pooled_scratch = np.empty(0)
 
 
 def _mmd_blocks(X, Y, bandwidths):
-    """X, Y, bandwidths and the xx, yy, xy blocks of one pooled squared-distance matrix."""
+    """X, Y, bandwidths and the xx, yy, xy blocks of one pooled squared-distance matrix.
+
+    The blocks are views of `_pooled_scratch`, overwritten by the next call.
+    """
+    global _pooled_scratch
     X, Y = (np.asarray(A, dtype=np.float64) for A in (X, Y))
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1] or not (len(X) and len(Y)):
         raise ParameterError("X and Y must be non-empty 2-D arrays with matching column count")
     if bandwidths is not None and not (len(bandwidths) and all(0 < b < np.inf for b in bandwidths)):
         raise ParameterError(f"bandwidths must be non-empty, positive and finite, got {bandwidths}")
-    n = X.shape[0]
+    n, size = len(X), len(X) + len(Y)
+    if _pooled_scratch.size < size * size:
+        _pooled_scratch = np.empty(size * size)
     pooled = np.vstack([X, Y])
-    sq = _sq_dists(pooled, pooled)  # one object: numpy takes the symmetric product
+    sq = _sq_dists(pooled, pooled, out=_pooled_scratch[: size * size].reshape(size, size))
     if bandwidths is None:
         bandwidths = median_bandwidths(sq)
     return X, Y, np.asarray(bandwidths, dtype=np.float64), (sq[:n, :n], sq[n:, n:], sq[:n, n:])
+
+
+def _kernel(d: np.ndarray, s2: float, buf: np.ndarray) -> np.ndarray:
+    """exp(-d / (2 s2)) in the front of `buf`; d / -(2 s2) is the same quotient, bit for bit."""
+    k = buf[: d.size].reshape(d.shape)
+    np.divide(d, -(2.0 * s2), out=k)
+    return np.exp(k, out=k)
 
 
 def mmd_rbf(X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None) -> float:
@@ -143,14 +172,12 @@ def mmd_rbf(X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None) -> flo
     `bandwidths` are RBF sigma^2 values, used as given; None selects the
     median heuristic of the pooled samples, `median_bandwidths`.
     """
-    _, _, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, bandwidths)
+    X, Y, bandwidths, blocks = _mmd_blocks(X, Y, bandwidths)
+    buf = np.empty(max(len(X), len(Y)) ** 2)  # holds each kernel block in turn
     total = 0.0
     for s2 in bandwidths:
-        total += (
-            np.exp(-dxx / (2.0 * s2)).mean()
-            + np.exp(-dyy / (2.0 * s2)).mean()
-            - 2.0 * np.exp(-dxy / (2.0 * s2)).mean()
-        )
+        mean_xx, mean_yy, mean_xy = (_kernel(d, s2, buf).mean() for d in blocks)
+        total += mean_xx + mean_yy - 2.0 * mean_xy
     return float(total / len(bandwidths))
 
 
@@ -164,18 +191,21 @@ def mmd_rbf_grad(
     """
     X, Y, bandwidths, (dxx, dyy, dxy) = _mmd_blocks(X, Y, bandwidths)
     n, m = X.shape[0], Y.shape[0]
+    buf = np.empty(max(n, m) ** 2)  # holds each kernel block in turn
     value = 0.0
     gx = np.zeros_like(X)
     gy = np.zeros_like(Y)
     for s2 in bandwidths:
-        kxx = np.exp(-dxx / (2.0 * s2))
-        kyy = np.exp(-dyy / (2.0 * s2))
-        kxy = np.exp(-dxy / (2.0 * s2))
-        value += kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
+        kxx = _kernel(dxx, s2, buf)
+        mean_xx = kxx.mean()
         # d/dx_p of mean(Kxx): x_p appears in row p and column p
         gx += (-2.0 / (n * n * s2)) * (kxx.sum(axis=1)[:, None] * X - kxx @ X)
-        gx += (2.0 / (n * m * s2)) * (kxy.sum(axis=1)[:, None] * X - kxy @ Y)
+        kyy = _kernel(dyy, s2, buf)
+        mean_yy = kyy.mean()
         gy += (-2.0 / (m * m * s2)) * (kyy.sum(axis=1)[:, None] * Y - kyy @ Y)
+        kxy = _kernel(dxy, s2, buf)
+        value += mean_xx + mean_yy - 2.0 * kxy.mean()
+        gx += (2.0 / (n * m * s2)) * (kxy.sum(axis=1)[:, None] * X - kxy @ Y)
         gy += (2.0 / (n * m * s2)) * (kxy.sum(axis=0)[:, None] * Y - kxy.T @ X)
     nb = len(bandwidths)
     return float(value / nb), gx / nb, gy / nb

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftlab import cli
-from shiftlab.datagen import gen_two_moons, save_dataset
+from shiftlab.datagen import Dataset, gen_two_moons, load_dataset, save_dataset
 from shiftlab.errors import NumericError, ShiftLabError
-from shiftlab.mea import combine_weights, format_weights
-from shiftlab.nn import init_model, save_model
+from shiftlab.mea import combine_weights, format_weights, parse_weights
+from shiftlab.nn import Layer, SourceModel, init_model, load_model, save_model
 
 
 def run(*argv):
@@ -263,7 +264,8 @@ class TestExitCodes:
         "weights-missing-id", "weights-extra-id", "weights-duplicate-id",
         "models-duplicate-id", "mea-duplicate-id", "estimate-duplicate-id",
         "gen-negative-seed", "train-negative-seed", "config-negative-seed", "blobs-priors",
-        "config-duplicate-key",
+        "config-duplicate-key", "domain-space", "domain-comma", "domain-equals",
+        "domain-non-ascii", "visible-bad-id",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -326,6 +328,14 @@ class TestExitCodes:
                              "'0.5,x'"),
             "config-duplicate-key": ((*train, "--config", str(cfg)),
                                      "3: key 'iterations' given twice in [adapt], first on line 2"),
+            "domain-space": (("gen", "two-moons", "--domain", "a b", "--out", str(bad)), "'a b'"),
+            "domain-comma": (("gen", "two-moons", "--domain", "p,q", "--out", str(bad)), "'p,q'"),
+            "domain-equals": (("gen", "two-moons", "--domain", "x=y", "--out", str(bad)), "'x=y'"),
+            "domain-non-ascii": (("gen", "blobs", "--domain", "\xe9", "--out", str(bad)),
+                                 "'\\xe9'"),
+            "visible-bad-id": (("estimate", "--model", str(model_a), "--target", str(moons_file),
+                                "--visible", f"a b={moons_file}", "--out", str(weights)),
+                               "'a b'"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -409,3 +419,78 @@ class TestArbitraryInput:
         path = tmp_path_factory.getbasetemp() / f"fuzz-token-{kind}"
         path.write_bytes("".join(parts).encode("utf-8"))
         check_exit_contract(kind, path)
+
+
+# every printable ASCII character but the format separators: whitespace, ',' and '='
+DOMAIN_IDS = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters=",="), max_size=8
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def same_bits(a, b):
+    return (a is None) == (b is None) and (
+        a is None or (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    )
+
+
+@st.composite
+def datasets(draw):
+    n, d, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    labels = draw(st.none() | arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return Dataset(draw(arrays(np.float64, (n, d), elements=FINITE)), labels, k, draw(DOMAIN_IDS))
+
+
+@st.composite
+def source_models(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))  # input, hidden..., classes
+    layers = [
+        Layer(draw(arrays(np.float64, (out, fan_in), elements=FINITE)),
+              draw(arrays(np.float64, out, elements=FINITE)),
+              "linear" if i == len(dims) - 2 else "tanh")
+        for i, (fan_in, out) in enumerate(zip(dims, dims[1:]))
+    ]
+    meta = {"domain_id": draw(DOMAIN_IDS), "seed": str(draw(st.integers(0, 99)))}
+    return SourceModel(layers[:-1], layers[-1], meta)
+
+
+@st.composite
+def weight_estimates(draw):
+    m = draw(st.integers(1, 4))
+    simplex = arrays(np.float64, m, elements=st.floats(0.01, 1.0)).map(lambda v: v / v.sum())
+    est = combine_weights(draw(simplex), draw(st.none() | simplex), draw(st.floats(0, 1e3)))
+    return est, draw(st.lists(DOMAIN_IDS, min_size=m, max_size=m, unique=True))
+
+
+class TestRoundTrip:
+    """What shiftlab writes, it reads back: the same bits and the same ids."""
+
+    @FUZZ
+    @given(ds=datasets())
+    def test_dataset(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "roundtrip.ds"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert same_bits(back.features, ds.features) and same_bits(back.labels, ds.labels)
+        assert (back.num_classes, back.domain_id) == (ds.num_classes, ds.domain_id)
+
+    @FUZZ
+    @given(model=source_models())
+    def test_model(self, tmp_path_factory, model):
+        path = tmp_path_factory.getbasetemp() / "roundtrip.model"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.meta == model.meta
+        for a, b in zip([*model.extractor, model.classifier], [*back.extractor, back.classifier]):
+            assert same_bits(a.weight, b.weight) and same_bits(a.bias, b.bias)
+            assert a.activation == b.activation
+
+    @FUZZ
+    @given(drawn=weight_estimates())
+    def test_weights(self, drawn):
+        est, ids = drawn
+        back, back_ids = parse_weights(format_weights(est, ids))
+        assert back_ids == ids
+        assert (back.lam, back.fallback) == (est.lam, est.fallback)
+        for name in ("w_s", "w_t", "w_raw", "w_final"):
+            assert same_bits(getattr(back, name), getattr(est, name))

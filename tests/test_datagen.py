@@ -3,6 +3,7 @@ import pytest
 
 from shiftlab.datagen import (
     Dataset,
+    check_domain_id,
     gen_gaussian_blobs,
     gen_two_moons,
     load_dataset,
@@ -161,6 +162,19 @@ class TestSplit:
 def test_rejects_negative_seed(make):
     with pytest.raises(ParameterError, match="got -1"):
         make(-1)
+
+
+class TestDomainId:
+    @pytest.mark.parametrize("domain_id", ["", "src", "srcC", "a-b_c.1", "!~#%"])
+    def test_accepts_printable_ascii_without_separators(self, domain_id):
+        check_domain_id(domain_id)
+        assert Dataset(np.zeros((1, 1)), None, 2, domain_id).domain_id == domain_id
+
+    # a format separator, a character outside printable ASCII, not a str
+    @pytest.mark.parametrize("domain_id", ["a b", "a\tb", "a\n", "p,q", "x=y", "\xe9", "\x7f", 3])
+    def test_dataset_rejects_separators_and_non_ascii(self, domain_id):
+        with pytest.raises(ParameterError, match="domain id"):
+            Dataset(np.zeros((1, 1)), None, 2, domain_id)
 
 
 class TestSerialization:

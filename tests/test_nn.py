@@ -218,6 +218,18 @@ class TestSerialization:
             assert la.activation == lb.activation
         assert back.meta["domain_id"] == "dom-x"
 
+    @pytest.mark.parametrize("domain_id", ["a b", "p,q", "x=y", "\xe9"])
+    def test_init_model_rejects_a_bad_domain_id(self, domain_id):
+        with pytest.raises(ParameterError, match="domain id"):
+            init_model(2, 4, 2, domain_id=domain_id)
+
+    def test_file_with_a_bad_domain_id_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(init_model(2, 4, 2, domain_id="pq"), path)
+        path.write_text(path.read_text().replace("domain_id=pq", "domain_id=p,q"))
+        with pytest.raises(FormatError, match="domain id 'p,q'"):
+            load_model(path)
+
     def test_shape_inconsistent_file_rejected(self, tmp_path):
         m = init_model(2, 4, 2, seed=0)
         path = tmp_path / "m.txt"

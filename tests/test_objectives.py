@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from shiftlab import objectives
 from shiftlab.errors import ParameterError
 from shiftlab.nn import init_model, forward
 from shiftlab.objectives import (
@@ -54,6 +57,68 @@ def three_product_mmd(X, Y, bandwidths):
             - 2.0 * np.exp(-dxy / (2.0 * s2)).mean()
         )
     return float(total / len(bandwidths))
+
+
+def reference_sq_dists(A, B):
+    """The distance matrix as one expression, with fresh temporaries throughout."""
+    aa = (A * A).sum(axis=1)[:, None]
+    bb = (B * B).sum(axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+
+
+def reference_blocks(X, Y, bandwidths):
+    """Bandwidths and the xx, yy, xy blocks of the pooled matrix, without any scratch."""
+    pooled = np.vstack([X, Y])
+    sq = reference_sq_dists(pooled, pooled)
+    if bandwidths is None:
+        upper = sq[np.triu_indices(len(sq), 1)]
+        s2 = float(np.median(upper)) if upper.size else 1.0
+        s2 = s2 if s2 > 0 else 1.0
+        bandwidths = [0.5 * s2, s2, 2.0 * s2]
+    n = len(X)
+    return bandwidths, sq[:n, :n], sq[n:, n:], sq[:n, n:]
+
+
+def reference_mmd(X, Y, bandwidths):
+    bandwidths, dxx, dyy, dxy = reference_blocks(X, Y, bandwidths)
+    total = 0.0
+    for s2 in bandwidths:
+        total += (
+            np.exp(-dxx / (2.0 * s2)).mean()
+            + np.exp(-dyy / (2.0 * s2)).mean()
+            - 2.0 * np.exp(-dxy / (2.0 * s2)).mean()
+        )
+    return float(total / len(bandwidths))
+
+
+def reference_mmd_grad(X, Y, bandwidths):
+    bandwidths, dxx, dyy, dxy = reference_blocks(X, Y, bandwidths)
+    n, m = len(X), len(Y)
+    value, gx, gy = 0.0, np.zeros_like(X), np.zeros_like(Y)
+    for s2 in bandwidths:
+        kxx = np.exp(-dxx / (2.0 * s2))
+        kyy = np.exp(-dyy / (2.0 * s2))
+        kxy = np.exp(-dxy / (2.0 * s2))
+        value += kxx.mean() + kyy.mean() - 2.0 * kxy.mean()
+        gx += (-2.0 / (n * n * s2)) * (kxx.sum(axis=1)[:, None] * X - kxx @ X)
+        gx += (2.0 / (n * m * s2)) * (kxy.sum(axis=1)[:, None] * X - kxy @ Y)
+        gy += (-2.0 / (m * m * s2)) * (kyy.sum(axis=1)[:, None] * Y - kyy @ Y)
+        gy += (2.0 / (n * m * s2)) * (kxy.sum(axis=0)[:, None] * Y - kxy.T @ X)
+    nb = len(bandwidths)
+    return float(value / nb), gx / nb, gy / nb
+
+
+def samples(n, m, seed=0):
+    rng = np.random.default_rng([n, m, seed])
+    return np.tanh(rng.normal(size=(n, 64))), np.tanh(rng.normal(size=(m, 64)) + 0.5)
+
+
+def assert_matches_reference(X, Y, bandwidths):
+    assert mmd_rbf(X, Y, bandwidths) == reference_mmd(X, Y, bandwidths)
+    value, gx, gy = mmd_rbf_grad(X, Y, bandwidths)
+    ref_value, ref_gx, ref_gy = reference_mmd_grad(X, Y, bandwidths)
+    assert value == ref_value
+    assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
 
 
 def fd_grad(f, A, eps=1e-6):
@@ -243,6 +308,59 @@ class TestMmd:
         X = rng.normal(size=(n, 64))
         Y = rng.normal(size=(m, 64)) + 0.3
         assert mmd_rbf_grad(X, Y, bandwidths)[0] == mmd_rbf(X, Y, bandwidths)
+
+    @pytest.mark.parametrize("n, m", SHAPES + [(8, 8), (50, 64), (100, 400)])
+    @pytest.mark.parametrize("bandwidths", [None, [0.7, 2.0]], ids=["median", "explicit"])
+    def test_in_place_kernels_equal_the_reference_exactly(self, n, m, bandwidths):
+        assert_matches_reference(*samples(n, m), bandwidths)
+
+    def test_scratch_that_shrinks_and_grows_stays_exact(self):
+        # a stale or undersized pooled-distance scratch would show as a mismatch
+        for seed, rows in enumerate([400, 7, 64, 400]):
+            for bandwidths in (None, [0.7, 2.0]):
+                assert_matches_reference(*samples(rows, rows, seed), bandwidths)
+                assert_matches_reference(*samples(rows, 3, seed), bandwidths)
+
+    @pytest.mark.parametrize("same", [True, False], ids=["pooled", "cross"])
+    def test_sq_dists_without_out_is_fresh_and_exact(self, same):
+        X, Y = samples(50, 70)
+        A, B = (np.vstack([X, Y]),) * 2 if same else (X, Y)
+        mmd_rbf(X, Y)
+        sq = _sq_dists(A, B)
+        assert np.array_equal(sq, reference_sq_dists(A, B))
+        assert not np.shares_memory(sq, objectives._pooled_scratch)
+
+    def test_median_bandwidths_leaves_its_input_unchanged(self):
+        X, Y = samples(40, 30)
+        pooled = np.vstack([X, Y])
+        sq = _sq_dists(pooled, pooled)
+        before = sq.tobytes()
+        median_bandwidths(sq)
+        assert sq.tobytes() == before
+
+    def test_returned_gradients_outlive_later_calls(self):
+        X, Y = samples(64, 64)
+        _, gx, gy = mmd_rbf_grad(X, Y)
+        kept = gx.copy(), gy.copy()
+        for other in (samples(400, 400, 1), samples(7, 3, 1)):
+            mmd_rbf_grad(*other)
+            mmd_rbf(*other)
+        assert np.array_equal(gx, kept[0]) and np.array_equal(gy, kept[1])
+        assert not any(np.shares_memory(g, objectives._pooled_scratch) for g in (gx, gy))
+
+    def test_steady_state_call_allocates_less_than_one_pooled_matrix(self):
+        # deterministic, unlike a timing: the bytes numpy allocates during one
+        # 400 vs 400 call once the scratch has grown, against the 800 x 800
+        # float64 pooled matrix that a fresh-allocating call needs at least twice
+        X, Y = samples(400, 400)
+        mmd_rbf(X, Y)
+        tracemalloc.start()
+        try:
+            mmd_rbf(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * 800 * 8
 
     # two values near the float64 maximum overflow to inf in np.median's mean,
     # with a RuntimeWarning, and _median must overflow the same way
