@@ -325,7 +325,7 @@ class TestMmd:
     def test_sq_dists_without_out_is_fresh_and_exact(self, same):
         X, Y = samples(50, 70)
         A, B = (np.vstack([X, Y]),) * 2 if same else (X, Y)
-        mmd_rbf(X, Y)
+        mmd_rbf(X, Y)  # so that the scratch holds a pooled matrix
         sq = _sq_dists(A, B)
         assert np.array_equal(sq, reference_sq_dists(A, B))
         assert not np.shares_memory(sq, objectives._pooled_scratch)
