@@ -75,27 +75,15 @@ class TrainerOutput:
         return self.models[0]
 
 
-class _BatchStream:
-    """Seeded epoch-wise shuffled mini-batch index stream."""
-
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
-        self.n = n
-        self.batch_size = min(batch_size, n)
-        self.rng = rng
-        self._order = rng.permutation(n)
-        self._pos = 0
-
-    def next(self) -> np.ndarray:
-        if self._pos + self.batch_size > self.n:
-            self._order = self.rng.permutation(self.n)
-            self._pos = 0
-        idx = self._order[self._pos : self._pos + self.batch_size]
-        self._pos += self.batch_size
-        return idx
-
-
-def _stream(n: int, cfg: AdaptationConfig, stream_id: int) -> _BatchStream:
-    return _BatchStream(n, cfg.batch_size, np.random.default_rng([cfg.seed, stream_id]))
+def _stream(n: int, cfg: AdaptationConfig, stream_id: int):
+    """Seeded mini-batch indices: `min(batch_size, n)`-index slices of one
+    permutation per epoch, the short tail of each epoch dropped."""
+    rng = np.random.default_rng([cfg.seed, stream_id])
+    size = min(cfg.batch_size, n)
+    while True:
+        order = rng.permutation(n)
+        for start in range(0, n - size + 1, size):
+            yield order[start : start + size]
 
 
 def _ensemble_accuracy(models, weights, eval_set: Dataset) -> float:
@@ -130,26 +118,50 @@ def _drive(run_id, scenario, models, weights, cfg, eval_set, step) -> TrainerOut
     return TrainerOutput(models, weights, record)
 
 
-def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:
-    """Supervised cross-entropy training from a fresh seeded model."""
-    if ds.labels is None:
-        raise ParameterError("train_source requires a labeled dataset")
-    model = init_model(ds.d, num_classes=ds.num_classes, seed=cfg.seed, domain_id=ds.domain_id)
+def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> TrainerOutput:
+    """Source cross-entropy from a fresh seeded model, plus `lambda_uda` times
+    the MMD between source and target batch features when there is a target.
+
+    Without a target, or at `lambda_uda == 0`, every step is the same
+    supervised step, so UDA at lambda 0 is source training bit for bit.
+    """
+    if source.labels is None:
+        raise ParameterError(f"train_{scenario} requires a labeled source dataset")
+    model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
-    stream = _stream(ds.n, cfg, 17)
+    src_stream = _stream(source.n, cfg, 17)
+    lam = 0.0 if target is None else cfg.lambda_uda
+    tgt_stream = _stream(target.n, cfg, 29) if lam > 0 else None
 
     def step(it, evaluating):
-        idx = stream.next()
-        xb, yb = ds.features[idx], ds.labels[idx]
-        tape = forward(model, xb)
-        ce = cross_entropy(tape.probs, yb)
-        dlogits = softmax_probs_to_logits_grad(tape.probs, cross_entropy_probs_grad(tape.probs, yb))
-        sgd_step(model, backward(model, tape, dlogits), opt)
-        return {"loss_total": ce, "loss_ce": ce}
+        idx = next(src_stream)
+        xb, yb = source.features[idx], source.labels[idx]
+        tape_s = forward(model, xb)
+        ce = cross_entropy(tape_s.probs, yb)
+        dlogits = softmax_probs_to_logits_grad(tape_s.probs, cross_entropy_probs_grad(tape_s.probs, yb))
+        if lam == 0:
+            sgd_step(model, backward(model, tape_s, dlogits), opt)
+            return {"loss_total": ce, "loss_ce": ce}
+        tape_t = forward(model, target.features[next(tgt_stream)])
+        mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
+        grad = backward(model, tape_s, dlogits, lam * gx)
+        grad.add_(backward(model, tape_t, dfeat=lam * gy))
+        sgd_step(model, grad, opt)
+        if evaluating:
+            # diagnostic: full-dataset alignment, not the per-batch estimate
+            fs = forward(model, source.features).features
+            ft = forward(model, target.features).features
+            mmd_value = mmd_rbf(fs, ft)
+        return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
 
-    run_id = f"source-{ds.domain_id}-s{cfg.seed}"
     model.meta["epochs"] = str(cfg.iterations)
-    return _drive(run_id, "source", [model], np.array([1.0]), cfg, eval_set, step)
+    return _drive(run_id, scenario, [model], np.array([1.0]), cfg, eval_set, step)
+
+
+def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:
+    """Supervised cross-entropy training from a fresh seeded model: UDA without a target."""
+    run_id = f"source-{ds.domain_id}-s{cfg.seed}"
+    return _train_supervised(ds, None, cfg, eval_set, run_id, "source")
 
 
 def train_uda(
@@ -159,41 +171,10 @@ def train_uda(
     eval_set: Dataset | None = None,
 ) -> TrainerOutput:
     """Joint source cross-entropy plus MMD feature alignment to the target."""
-    if source.labels is None:
-        raise ParameterError("train_uda requires a labeled source dataset")
     if source.d != target.d:
         raise ParameterError("source and target dimensions differ")
-    model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
-    opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
-    src_stream = _stream(source.n, cfg, 17)
-    tgt_stream = _stream(target.n, cfg, 29)
-    lam = cfg.lambda_uda
-
-    def step(it, evaluating):
-        idx = src_stream.next()
-        xb, yb = source.features[idx], source.labels[idx]
-        tape_s = forward(model, xb)
-        ce = cross_entropy(tape_s.probs, yb)
-        dlogits = softmax_probs_to_logits_grad(tape_s.probs, cross_entropy_probs_grad(tape_s.probs, yb))
-        mmd_value = 0.0
-        if lam > 0:
-            tape_t = forward(model, target.features[tgt_stream.next()])
-            mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
-            grad = backward(model, tape_s, dlogits, lam * gx)
-            grad.add_(backward(model, tape_t, dfeat=lam * gy))
-        else:
-            grad = backward(model, tape_s, dlogits)
-        sgd_step(model, grad, opt)
-        if evaluating and lam > 0:
-            # diagnostic: full-dataset alignment, not the per-batch estimate
-            fs = forward(model, source.features).features
-            ft = forward(model, target.features).features
-            mmd_value = mmd_rbf(fs, ft)
-        return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
-
     run_id = f"uda-{source.domain_id}->{target.domain_id}-s{cfg.seed}"
-    model.meta["epochs"] = str(cfg.iterations)
-    return _drive(run_id, "uda", [model], np.array([1.0]), cfg, eval_set, step)
+    return _train_supervised(source, target, cfg, eval_set, run_id, "uda")
 
 
 def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -260,11 +241,7 @@ def _adapt_loop(
     models = [m.clone() for m in models]
     opts = [init_optimizer(m, cfg.learning_rate, cfg.momentum) for m in models]
     stream = _stream(target.n, cfg, 17)
-    vs_streams = (
-        [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources)]
-        if visible_sources
-        else []
-    )
+    vs_streams = [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources or [])]
     lam = cfg.lambda_uda
     pl = None
 
@@ -272,7 +249,7 @@ def _adapt_loop(
         nonlocal pl
         if cfg.beta_pseudo > 0 and it % cfg.pseudo_refresh == 0:
             pl = _ensemble_pseudo_labels(models, weights, target.features)
-        idx = stream.next()
+        idx = next(stream)
         xb = target.features[idx]
 
         tapes = {i: forward(models[i], xb) for i in active}
@@ -292,7 +269,7 @@ def _adapt_loop(
         if visible_sources:
             scale = 1.0 / len(visible_sources)
             for vs, vstream in zip(visible_sources, vs_streams):
-                vidx = vstream.next()
+                vidx = next(vstream)
                 xs, ys = vs.features[vidx], vs.labels[vidx]
                 tapes_s = {i: forward(models[i], xs) for i in active}
                 ens_s = mix_probs(weights, {i: t.probs for i, t in tapes_s.items()})

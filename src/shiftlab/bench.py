@@ -34,7 +34,6 @@ PARADIGMS = ("source-only", "uda", "sfda", "msfda-uniform", "msfda-mea", "expand
 
 DEFAULT_WINDOW = 50  # logged evaluations
 DEFAULT_TOLERANCE = 0.01
-MIN_TARGET_N = 20
 
 # Supervised source training tolerates a hotter step size than the
 # unsupervised adaptation objectives, which destabilise above ~0.01.
@@ -83,12 +82,12 @@ def _data_seed(seed: int, j: int) -> int:
     return seed * 1000 + j + 1
 
 
-def _build_domains(spec: ScenarioSpec, seed: int):
+def _build_domains(sources: dict, target: MoonsRecipe, seed: int):
+    """The source datasets by domain id, and the labeled target, of one seed."""
     datasets = {}
-    for j, (domain_id, recipe) in enumerate(spec.sources.items()):
+    for j, (domain_id, recipe) in enumerate(sources.items()):
         datasets[domain_id] = recipe.build(_data_seed(seed, j), domain_id)
-    target_eval = spec.target.build(seed * 1000 + 997, "target")
-    return datasets, target_eval
+    return datasets, target.build(seed * 1000 + 997, "target")
 
 
 def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
@@ -128,27 +127,22 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
     records = []
     for seed in spec.seeds:
         try:
-            datasets, target_eval = _build_domains(spec, seed)
+            datasets, target_eval = _build_domains(spec.sources, spec.target, seed)
             target = target_eval.unlabeled()
-            # uda trains its own model from the first source's data
-            models = (
-                {} if spec.paradigm == "uda"
-                else _train_source_models(spec, datasets, seed, memo)
-            )
-            model_list = list(models.values())
             cfg = replace(spec.config, seed=seed)
             run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
-
-            if spec.paradigm == "source-only":
-                weights = np.full(len(model_list), 1.0 / len(model_list))
-                record = _evaluation_record(run_id, spec.name, model_list, weights, target_eval)
-            elif spec.paradigm == "uda":
+            if spec.paradigm == "uda":  # trains its own model from the first source's data
                 first = next(iter(datasets.values()))
                 record = train_uda(first, target, cfg, eval_set=target_eval).record
+            else:
+                model_list = list(_train_source_models(spec, datasets, seed, memo).values())
+                weights = np.full(len(model_list), 1.0 / len(model_list))
+
+            if spec.paradigm == "source-only":
+                record = _evaluation_record(run_id, spec.name, model_list, weights, target_eval)
             elif spec.paradigm == "sfda":
                 record = train_sfda(model_list[0], target, cfg, eval_set=target_eval).record
             elif spec.paradigm == "msfda-uniform":
-                weights = np.full(len(model_list), 1.0 / len(model_list))
                 record = train_msfda(model_list, weights, target, cfg, eval_set=target_eval).record
             elif spec.paradigm == "msfda-mea":
                 shared = {d: datasets[d] for d in spec.shared or datasets}
@@ -158,8 +152,7 @@ def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
                 ).record
                 record.summary["weights"] = est.w_final.tolist()
                 record.summary["provenance"] = prov
-            else:  # expanded-base
-                weights = np.full(len(model_list), 1.0 / len(model_list))
+            elif spec.paradigm == "expanded-base":
                 visible = [datasets[d] for d in spec.expanded_visible]
                 record = train_expanded_base(
                     model_list, weights, target, visible, "ce-only", cfg,
@@ -316,19 +309,17 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
     return report
 
 
-def overfitting_suite(seeds, out_dir=None, target_n: int = 600) -> dict:
-    """Adapt on 90% of the target, compare train/test accuracy gap."""
+def overfitting_suite(seeds, out_dir=None) -> dict:
+    """Adapt on 90% of a 600-point target, compare train/test accuracy gap."""
     if not seeds:
         raise ParameterError("need at least one seed")
-    if target_n < MIN_TARGET_N:
-        raise ParameterError(f"target too small for a 9:1 split audit: n={target_n} < {MIN_TARGET_N}")
-    source = MoonsRecipe(rotation=0.0)
-    target = MoonsRecipe(rotation=30.0, n=target_n)
+    sources = {"src": MoonsRecipe(rotation=0.0)}
+    target = MoonsRecipe(rotation=30.0, n=600)
 
     per_seed, records = [], []
     for seed in seeds:
-        src = source.build(seed * 1000 + 1, "src")
-        tgt = target.build(seed * 1000 + 997, "target")
+        datasets, tgt = _build_domains(sources, target, seed)
+        src = datasets["src"]
         tr, te = split(tgt, 0.9, seed=seed)
         # isolation audit: portions are disjoint and cover the target exactly
         merged = np.vstack([tr.features, te.features])
@@ -446,41 +437,26 @@ def emit_report(records: list, out_dir, suite_summary: dict | None = None) -> li
     for rec in records:
         key = (rec.summary.get("paradigm", rec.scenario), rec.scenario)
         cells.setdefault(key, []).append(rec.final_accuracy())
-    paradigms = sorted({p for p, _ in cells})
     scenarios = sorted({s for _, s in cells})
-    matrix = {
-        p: {s: float(np.mean(cells[(p, s)])) for s in scenarios if (p, s) in cells}
-        for p in paradigms
-    }
-
-    table_lines = ["paradigm" + "".join(f"  {s:>12}" for s in scenarios) + f"  {'Avg':>12}"]
-    for p in paradigms:
-        row = [f"{p:<14}"]
-        vals = []
-        for s in scenarios:
-            v = matrix[p].get(s)
-            row.append(f"  {v:>12.4f}" if v is not None else f"  {'-':>12}")
-            if v is not None:
-                vals.append(v)
-        row.append(f"  {np.mean(vals):>12.4f}")
-        table_lines.append("".join(row))
-    summary_txt = out / "summary.txt"
-    summary_txt.write_text("\n".join(table_lines) + "\n", encoding="ascii")
-    written.append(summary_txt)
-
+    table = ["paradigm" + "".join(f"  {s:>12}" for s in scenarios) + f"  {'Avg':>12}"]
     machine = [REPORT_MAGIC, "# iterations unit: mini-batch steps"]
-    for p in paradigms:
-        vals = []
+    for p in sorted({p for p, _ in cells}):
+        row, vals = f"{p:<14}", []
         for s in scenarios:
-            v = matrix[p].get(s)
-            if v is None:
+            if (p, s) not in cells:
+                row += f"  {'-':>12}"
                 continue
+            v = float(np.mean(cells[(p, s)]))
+            row += f"  {v:>12.4f}"
             machine.append(f"cell paradigm={p} scenario={s} accuracy={format(v, '.17g')}")
             vals.append(v)
-        machine.append(f"avg paradigm={p} accuracy={format(float(np.mean(vals)), '.17g')}")
+        avg = float(np.mean(vals))
+        table.append(row + f"  {avg:>12.4f}")
+        machine.append(f"avg paradigm={p} accuracy={format(avg, '.17g')}")
     if suite_summary is not None:
         machine.append(f"suite {suite_summary['suite']} passed={str(suite_summary['passed']).lower()}")
-    summary_report = out / "summary.report"
-    summary_report.write_text("\n".join(machine) + "\n", encoding="ascii")
-    written.append(summary_report)
+    for name, lines in (("summary.txt", table), ("summary.report", machine)):
+        path = out / name
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        written.append(path)
     return written

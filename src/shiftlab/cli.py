@@ -17,6 +17,7 @@ import numpy as np
 from . import bench, mea
 from .adapt import (
     EVAL_INTERVAL,
+    EXPANDED_MODES,
     AdaptationConfig,
     train_expanded_base,
     train_msfda,
@@ -200,7 +201,7 @@ def cmd_adapt(args) -> int:
             raise ParameterError("paradigm 'msfda' requires at least one --model")
         weights = _load_weights_arg(args, models, target_unlabeled, cfg)
         out = train_msfda(models, weights, target_unlabeled, cfg, eval_set=eval_set)
-    elif args.paradigm == "expanded":
+    else:  # expanded
         models = [load_model(p) for p in args.model or []]
         if not models:
             raise ParameterError("paradigm 'expanded' requires at least one --model")
@@ -211,8 +212,6 @@ def cmd_adapt(args) -> int:
         out = train_expanded_base(
             models, weights, target_unlabeled, visible, args.mode, cfg, eval_set=eval_set
         )
-    else:
-        raise ParameterError(f"unknown paradigm {args.paradigm!r}")
 
     if args.out:
         if len(out.models) == 1:
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="msfda weights: uniform | mea | <weights file>")
     p.add_argument("--visible", action="append",
                    help="domain=path of data-visible source (for --weights mea)")
-    p.add_argument("--mode", default="ce-only", choices=["ce-only", "ce+mmd"])
+    p.add_argument("--mode", default="ce-only", choices=EXPANDED_MODES)
     p.add_argument("--eval-data", dest="eval_data", help="labeled copy for accuracy logging")
     p.add_argument("--out", help="adapted model output path")
     p.add_argument("--trajectory")

@@ -248,15 +248,26 @@ def save_dataset(ds: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def parse_fields(line: str, where: str) -> dict:
+    """The `key=value` tokens of a header line; a bare token or repeated key is a FormatError."""
+    fields = {}
+    for token in line.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise FormatError(f"{where}: expected key=value, got {token!r}")
+        if key in fields:
+            raise FormatError(f"{where}: key {key!r} given twice")
+        fields[key] = value
+    return fields
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`; bad content raises FormatError."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines or not lines[0].startswith(DATASET_MAGIC):
         raise FormatError(f"{path}: missing dataset header")
-    header = dict(
-        part.split("=", 1) for part in lines[0][len(DATASET_MAGIC) :].split() if "=" in part
-    )
+    header = parse_fields(lines[0][len(DATASET_MAGIC) :], f"{path}: header")
     try:
         n, d, k = int(header["n"]), int(header["d"]), int(header["K"])
         domain = header["domain"]

@@ -210,6 +210,8 @@ def parse_weights(text: str) -> tuple[WeightEstimate, list]:
     for ln in lines[1:]:
         if ln.strip():
             key, _, rest = ln.partition(" ")
+            if key in fields:
+                raise FormatError(f"weights file repeats its {key} line")
             fields[key] = rest
     def vec(key):
         return np.array([float(x) for x in fields[key].split()])

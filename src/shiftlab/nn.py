@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import check_domain_id
+from .datagen import check_domain_id, parse_fields
 from .errors import FormatError, NumericError, ParameterError
 
 MODEL_MAGIC = "#shiftlab-model v1"
@@ -255,7 +255,7 @@ def load_model(path) -> SourceModel:
         raise FormatError(f"{path}: not a shiftlab model file (version mismatch?)")
     if len(lines) < 2:
         raise FormatError(f"{path}: missing metadata line")
-    meta = dict(part.split("=", 1) for part in lines[1].split() if "=" in part)
+    meta = parse_fields(lines[1], f"{path}: metadata line")
     layers: list[Layer] = []
     i = 2
     while i < len(lines):

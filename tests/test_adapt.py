@@ -41,6 +41,37 @@ TRAINERS = {
 }
 
 
+class ReferenceBatchStream:
+    """The earlier stateful batch stream, kept as the reference for `adapt._stream`."""
+
+    def __init__(self, n, batch_size, rng):
+        self.n = n
+        self.batch_size = min(batch_size, n)
+        self.rng = rng
+        self._order = rng.permutation(n)
+        self._pos = 0
+
+    def next(self):
+        if self._pos + self.batch_size > self.n:
+            self._order = self.rng.permutation(self.n)
+            self._pos = 0
+        idx = self._order[self._pos : self._pos + self.batch_size]
+        self._pos += self.batch_size
+        return idx
+
+
+class TestBatchStream:
+    # n < batch, n divisible by the batch, and n with a short tail
+    @pytest.mark.parametrize("n", [10, 128, 130])
+    def test_matches_reference_over_epochs(self, n):
+        cfg = AdaptationConfig(batch_size=64, seed=3)
+        ref = ReferenceBatchStream(n, 64, np.random.default_rng([cfg.seed, 17]))
+        stream = adapt._stream(n, cfg, 17)
+        per_epoch = max(n // 64, 1)
+        for _ in range(4 * per_epoch):  # four epochs
+            assert np.array_equal(next(stream), ref.next())
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):

@@ -6,7 +6,6 @@ import pytest
 from shiftlab import bench
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
-    MIN_TARGET_N,
     MoonsRecipe,
     ScenarioSpec,
     emit_report,
@@ -211,10 +210,6 @@ class TestSharedData:
 
 
 class TestSuiteGuards:
-    def test_overfitting_rejects_tiny_target(self):
-        with pytest.raises(ParameterError):
-            overfitting_suite([0], target_n=MIN_TARGET_N - 1)
-
     def test_overfitting_rejects_empty_seeds(self):
         with pytest.raises(ParameterError, match="need at least one seed"):
             overfitting_suite([])

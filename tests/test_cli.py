@@ -265,7 +265,8 @@ class TestExitCodes:
         "models-duplicate-id", "mea-duplicate-id", "estimate-duplicate-id",
         "gen-negative-seed", "train-negative-seed", "config-negative-seed", "blobs-priors",
         "config-duplicate-key", "domain-space", "domain-comma", "domain-equals",
-        "domain-non-ascii", "visible-bad-id",
+        "domain-non-ascii", "visible-bad-id", "dataset-bare-token", "dataset-repeated-key",
+        "model-bare-token", "weights-repeated-line",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -287,6 +288,12 @@ class TestExitCodes:
             "dataset-d": dataset.format(1, -1, "0"),
             "model-weight": model.format("1 1 tanh", "abc"),
             "model-layer-dims": model.format("-1 -1 tanh", "1"),
+            "dataset-bare-token": dataset.replace("domain=x", "domain=a b").format(1, 1, "0,0"),
+            "dataset-repeated-key": dataset.replace("domain=x", "domain=a domain=b junk")
+            .format(1, 1, "0,0"),
+            "model-bare-token": model.replace("domain_id=x", "domain_id=b junk")
+            .format("1 1 tanh", "1"),
+            "weights-repeated-line": weights_text(["a", "b"]) + "models c,d\n",
         }.get(probe, ""))
         train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
         model_a, model_b = id_models(tmp_path)
@@ -336,6 +343,10 @@ class TestExitCodes:
             "visible-bad-id": (("estimate", "--model", str(model_a), "--target", str(moons_file),
                                 "--visible", f"a b={moons_file}", "--out", str(weights)),
                                "'a b'"),
+            "dataset-bare-token": (("verify", "dataset", str(bad)), "'b'"),
+            "dataset-repeated-key": (("verify", "dataset", str(bad)), "'domain' given twice"),
+            "model-bare-token": (("verify", "model", str(bad)), "'junk'"),
+            "weights-repeated-line": (("verify", "weights", str(bad)), "repeats its models line"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err
