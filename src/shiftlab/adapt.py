@@ -22,6 +22,7 @@ from .nn import (
     init_model,
     init_optimizer,
     sgd_step,
+    stack_models,
 )
 from .objectives import (
     cross_entropy,
@@ -86,36 +87,32 @@ def _stream(n: int, cfg: AdaptationConfig, stream_id: int):
             yield order[start : start + size]
 
 
-def _ensemble_accuracy(models, weights, eval_set: Dataset) -> float:
-    X = eval_set.features
-    probs = {i: forward(m, X).probs for i, m in enumerate(models) if weights[i] != 0.0}
-    return float(np.mean(mix_probs(weights, probs).argmax(axis=1) == eval_set.labels))
+def _ensemble_accuracy(net: SourceModel, weights, eval_set: Dataset) -> float:
+    """Accuracy on `eval_set` of the stack `net`, its members mixed by `weights`."""
+    probs = mix_probs(weights, forward(net, eval_set.features).probs)
+    return float(np.mean(probs.argmax(axis=1) == eval_set.labels))
 
 
-def _should_eval(step: int, iterations: int) -> bool:
-    return step % EVAL_INTERVAL == 0 or step == iterations - 1
-
-
-def _drive(run_id, scenario, models, weights, cfg, eval_set, step) -> TrainerOutput:
+def _drive(run_id, scenario, net, weights, cfg, eval_set, step) -> ExperimentRecord:
     """Run `cfg.iterations` steps and log one trajectory row per step.
 
-    `step(i, evaluating)` updates the models and returns the row's loss
-    fields; `evaluating` marks the steps whose row also gets the ensemble
-    accuracy on `eval_set`. The batch tapes are locals of the step, so they
-    are freed before that full-dataset pass.
+    `step(i, evaluating)` updates the stack `net` and returns the row's loss
+    fields; `evaluating` marks the steps whose row also gets the accuracy on
+    `eval_set` of net's members mixed by `weights`. The batch tapes are
+    locals of the step, so they are freed before that full-dataset pass.
     """
     record = ExperimentRecord(run_id=run_id, scenario=scenario)
     clock = time.perf_counter
     t0 = clock()
     for i in range(cfg.iterations):
-        evaluating = _should_eval(i, cfg.iterations)
+        evaluating = i % EVAL_INTERVAL == 0 or i == cfg.iterations - 1
         row = TrajectoryRow(iteration=i, **step(i, evaluating))
         if eval_set is not None and evaluating:
-            row.acc_target = _ensemble_accuracy(models, weights, eval_set)
+            row.acc_target = _ensemble_accuracy(net, weights, eval_set)
         row.ms = (clock() - t0) * 1e3
         record.rows.append(row)
     record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
-    return TrainerOutput(models, weights, record)
+    return record
 
 
 def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> TrainerOutput:
@@ -128,6 +125,7 @@ def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> Traine
     if source.labels is None:
         raise ParameterError(f"train_{scenario} requires a labeled source dataset")
     model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
+    net, (model,) = stack_models([model])  # the model is the one member of net, which _drive evaluates
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
     src_stream = _stream(source.n, cfg, 17)
     lam = 0.0 if target is None else cfg.lambda_uda
@@ -155,7 +153,8 @@ def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> Traine
         return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
 
     model.meta["epochs"] = str(cfg.iterations)
-    return _drive(run_id, scenario, [model], np.array([1.0]), cfg, eval_set, step)
+    weights = np.array([1.0])
+    return TrainerOutput([model], weights, _drive(run_id, scenario, net, weights, cfg, eval_set, step))
 
 
 def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:
@@ -178,52 +177,40 @@ def train_uda(
 
 
 def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    fn = feats / (np.linalg.norm(feats, axis=1, keepdims=True) + 1e-12)
-    cn = centroids / (np.linalg.norm(centroids, axis=1, keepdims=True) + 1e-12)
-    return 1.0 - fn @ cn.T
+    fn = feats / (np.linalg.norm(feats, axis=-1, keepdims=True) + 1e-12)
+    cn = centroids / (np.linalg.norm(centroids, axis=-1, keepdims=True) + 1e-12)
+    return 1.0 - fn @ cn.swapaxes(-1, -2)
 
 
-def _ensemble_pseudo_labels(models, weights, X) -> np.ndarray:
+def _ensemble_pseudo_labels(net: SourceModel, weights, X) -> np.ndarray:
     """Two-round weighted nearest-centroid pseudo labels (SHOT style).
 
-    Round 1 builds per-model class centroids as ensemble-probability-weighted
+    `net` stacks the members, `weights` holds their ensemble weights. Round 1
+    builds per-member class centroids as ensemble-probability-weighted
     feature means and assigns each sample to the class minimizing the
     weight-averaged cosine distance. Round 2 recomputes centroids from the
     hard assignments (empty classes keep their round-1 centroid) and
     reassigns.
     """
-    active = [(i, w) for i, w in enumerate(weights) if w != 0.0]
-    feats, member_probs = {}, {}
-    for i, _ in active:
-        tape = forward(models[i], X)
-        feats[i], member_probs[i] = tape.features, tape.probs
+    tape = forward(net, X)
+    feats, probs = tape.features, mix_probs(weights, tape.probs)
     del tape  # keep features and probs only, not the full-dataset activations
-    probs = mix_probs(weights, member_probs)
-    k = probs.shape[1]
-
-    centroids = {}
-    for i, _ in active:
-        col = probs.sum(axis=0)[:, None] + 1e-8
-        centroids[i] = (probs.T @ feats[i]) / col
+    centroids = (probs.T @ feats) / (probs.sum(axis=0)[:, None] + 1e-8)
 
     def assign() -> np.ndarray:
-        dist = np.zeros((X.shape[0], k))
-        for i, w in active:
-            dist += w * _cosine_distances(feats[i], centroids[i])
-        return dist.argmin(axis=1)
+        return mix_probs(weights, _cosine_distances(feats, centroids)).argmin(axis=1)
 
     labels = assign()
-    for i, _ in active:
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centroids[i][c] = feats[i][mask].mean(axis=0)
+    for c in range(probs.shape[1]):
+        mask = labels == c
+        if mask.any():
+            centroids[:, c] = feats[:, mask].mean(axis=1)
     return assign()
 
 
 def pseudo_labels(model: SourceModel, target: Dataset) -> np.ndarray:
     """Two-round centroid pseudo labels for a single model."""
-    return _ensemble_pseudo_labels([model], [1.0], target.features)
+    return _ensemble_pseudo_labels(stack_models([model])[0], np.array([1.0]), target.features)
 
 
 def _adapt_loop(
@@ -236,10 +223,15 @@ def _adapt_loop(
     mode: str | None = None,
     scenario: str = "sfda",
 ) -> TrainerOutput:
+    """Adapt the models with a non-zero weight as one stack, `net`, one forward and
+    backward per batch; the zero-weight models stay out of it, untouched."""
     weights = ensemble_weights(models, weights)
-    active = [i for i, w in enumerate(weights) if w != 0.0]
-    models = [m.clone() for m in models]
-    opts = [init_optimizer(m, cfg.learning_rate, cfg.momentum) for m in models]
+    active = weights != 0.0
+    net, members = stack_models([m for m, a in zip(models, active) if a])
+    members, wa = iter(members), weights[active]  # wa: the weights of net's members
+    models = [next(members) if a else m.clone() for m, a in zip(models, active)]
+    per_member = wa[:, None, None]  # each member's weight, broadcast over its batch
+    opt = init_optimizer(net, cfg.learning_rate, cfg.momentum)
     stream = _stream(target.n, cfg, 17)
     vs_streams = [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources or [])]
     lam = cfg.lambda_uda
@@ -248,12 +240,10 @@ def _adapt_loop(
     def step(it, evaluating):
         nonlocal pl
         if cfg.beta_pseudo > 0 and it % cfg.pseudo_refresh == 0:
-            pl = _ensemble_pseudo_labels(models, weights, target.features)
+            pl = _ensemble_pseudo_labels(net, wa, target.features)
         idx = next(stream)
-        xb = target.features[idx]
-
-        tapes = {i: forward(models[i], xb) for i in active}
-        ens = mix_probs(weights, {i: t.probs for i, t in tapes.items()})
+        tape = forward(net, target.features[idx])
+        ens = mix_probs(wa, tape.probs)
 
         im = im_loss(ens)
         dprobs = im_probs_grad(ens)
@@ -264,41 +254,35 @@ def _adapt_loop(
 
         vis_ce_value = 0.0
         mmd_value = 0.0
-        vis_grads = []  # (model index, gradient) in the order they are added
-        dfeat = dict.fromkeys(tapes)  # summed MMD gradient on each target tape's features
+        vis_grads = []  # in the order they are added
+        dfeat = None  # summed MMD gradient on the target tape's features
         if visible_sources:
             scale = 1.0 / len(visible_sources)
             for vs, vstream in zip(visible_sources, vs_streams):
                 vidx = next(vstream)
                 xs, ys = vs.features[vidx], vs.labels[vidx]
-                tapes_s = {i: forward(models[i], xs) for i in active}
-                ens_s = mix_probs(weights, {i: t.probs for i, t in tapes_s.items()})
+                tape_s = forward(net, xs)
+                ens_s = mix_probs(wa, tape_s.probs)
                 vis_ce_value += scale * cross_entropy(ens_s, ys)
                 dprobs_s = scale * cross_entropy_probs_grad(ens_s, ys)
-                for i, ts in tapes_s.items():
-                    dlog = softmax_probs_to_logits_grad(ts.probs, weights[i] * dprobs_s)
-                    if mode == "ce+mmd" and lam > 0:
-                        mv, gs, gt = mmd_rbf_grad(ts.features, tapes[i].features)
-                        mmd_value += scale * weights[i] * mv
-                        c = lam * scale * weights[i]
-                        dfeat[i] = c * gt if dfeat[i] is None else dfeat[i] + c * gt
-                        vis_grads.append((i, backward(models[i], ts, dlog, c * gs)))
-                    else:
-                        vis_grads.append((i, backward(models[i], ts, dlog)))
+                dlog = softmax_probs_to_logits_grad(tape_s.probs, per_member * dprobs_s)
+                gs = None
+                if mode == "ce+mmd" and lam > 0:
+                    gs, gt = np.empty_like(tape_s.features), np.empty_like(tape.features)
+                    for k, c in enumerate(lam * scale * wa):
+                        mv, gx, gy = mmd_rbf_grad(tape_s.features[k], tape.features[k])
+                        mmd_value += scale * wa[k] * mv
+                        gs[k], gt[k] = c * gx, c * gy
+                    dfeat = gt if dfeat is None else dfeat + gt
+                vis_grads.append(backward(net, tape_s, dlog, gs))
 
-        # one backward per target tape, carrying its IM/CE logits and MMD features
-        grads = {
-            i: backward(
-                models[i], t, softmax_probs_to_logits_grad(t.probs, weights[i] * dprobs), dfeat[i]
-            )
-            for i, t in tapes.items()
-        }
-        for i, g in vis_grads:
-            grads[i].add_(g)
-
-        for i, g in grads.items():
-            g.zero_classifier_()  # classifier stays the source hypothesis
-            sgd_step(models[i], g, opts[i])
+        # one backward through the target tape, carrying its IM/CE logits and MMD features
+        grad = backward(net, tape, softmax_probs_to_logits_grad(tape.probs, per_member * dprobs), dfeat)
+        for g in vis_grads:
+            grad.add_(g)
+        for g in grad.classifier:
+            g[...] = 0.0  # the classifier stays the source hypothesis
+        sgd_step(net, grad, opt)
         return {
             "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
             "loss_ce": ce_value + vis_ce_value,
@@ -307,7 +291,7 @@ def _adapt_loop(
         }
 
     run_id = f"{scenario}->{target.domain_id}-s{cfg.seed}"
-    return _drive(run_id, scenario, models, weights, cfg, eval_set, step)
+    return TrainerOutput(models, weights, _drive(run_id, scenario, net, wa, cfg, eval_set, step))
 
 
 def train_sfda(

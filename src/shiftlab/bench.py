@@ -26,6 +26,7 @@ from .adapt import (
 )
 from .datagen import Dataset, gen_two_moons, make_adversarial_source, split
 from .errors import ParameterError
+from .nn import stack_models
 from .records import ExperimentRecord, TrajectoryRow, write_trajectory
 
 REPORT_MAGIC = "#shiftlab-report v1"
@@ -107,7 +108,7 @@ def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
 
 
 def _evaluation_record(run_id, scenario, models, weights, eval_set) -> ExperimentRecord:
-    acc = _ensemble_accuracy(models, weights, eval_set)
+    acc = _ensemble_accuracy(stack_models(models)[0], weights, eval_set)
     rec = ExperimentRecord(run_id=run_id, scenario=scenario)
     rec.rows.append(TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc))
     rec.summary = {"final_accuracy": acc, "iterations": 0}
@@ -332,8 +333,9 @@ def overfitting_suite(seeds, out_dir=None) -> dict:
         cfg = replace(ADAPT_CONFIG, seed=seed)
         src_model = train_source(src, replace(SOURCE_CONFIG, seed=seed)).model
         out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
-        acc_train = _ensemble_accuracy(out.models, out.weights, tr)
-        acc_test = _ensemble_accuracy(out.models, out.weights, te)
+        net = stack_models(out.models)[0]
+        acc_train = _ensemble_accuracy(net, out.weights, tr)
+        acc_test = _ensemble_accuracy(net, out.weights, te)
         gap = abs(acc_train - acc_test)
         records.append(out.record)
         per_seed.append(

@@ -15,10 +15,11 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import ExclusionError, FormatError, ParameterError
-from .nn import SourceModel, accuracy, forward
+from .nn import SourceModel, accuracy, forward, stack_models
 
 PROVENANCE_MAGIC = "#shiftlab-provenance v1"
 WEIGHTS_MAGIC = "#shiftlab-weights v1"
+WEIGHTS_KEYS = ("models", "lambda", "fallback", "w_s", "w_t", "w_raw", "w_final")
 
 
 @dataclass
@@ -115,16 +116,12 @@ def confidence_weights(
     """Average max-softmax confidence per model on the target, normalized."""
     if target.n < 1:
         raise ParameterError("target dataset is empty")
-    conf = []
-    for model in models:
-        probs = forward(model, target.features).probs
-        c = float(probs.max(axis=1).mean())
-        conf.append(c)
-        if provenance is not None:
-            provenance.append(
-                {"kind": "confidence", "model": model.meta.get("domain_id", ""), "confidence": c}
-            )
-    conf = np.asarray(conf)
+    conf = forward(stack_models(models)[0], target.features).probs.max(axis=-1).mean(axis=-1)
+    if provenance is not None:
+        provenance.extend(
+            {"kind": "confidence", "model": m.meta.get("domain_id", ""), "confidence": float(c)}
+            for m, c in zip(models, conf)
+        )
     return conf / conf.sum()
 
 
@@ -210,24 +207,30 @@ def parse_weights(text: str) -> tuple[WeightEstimate, list]:
     for ln in lines[1:]:
         if ln.strip():
             key, _, rest = ln.partition(" ")
+            if key not in WEIGHTS_KEYS:
+                raise FormatError(f"weights file has an unknown {key!r} line")
             if key in fields:
                 raise FormatError(f"weights file repeats its {key} line")
             fields[key] = rest
+    missing = [k for k in WEIGHTS_KEYS if k not in fields]
+    if missing:
+        raise FormatError(f"weights file has no {missing[0]} line")
+    if fields["fallback"] not in ("true", "false"):
+        raise FormatError(f"weights file: fallback must be true or false, got {fields['fallback']!r}")
+
     def vec(key):
         return np.array([float(x) for x in fields[key].split()])
 
     try:
         model_ids = fields["models"].split(",")
         est = WeightEstimate(
-            None if fields.get("w_s", "absent") == "absent" else vec("w_s"),
+            None if fields["w_s"] == "absent" else vec("w_s"),
             vec("w_t"),
             float(fields["lambda"]),
             vec("w_raw"),
             vec("w_final"),
-            fallback=fields.get("fallback", "false") == "true",
+            fallback=fields["fallback"] == "true",
         )
-    except KeyError as exc:
-        raise FormatError(f"weights file has no {exc.args[0]} line") from None
     except ValueError as exc:  # a non-number, or weights that break an invariant
         raise FormatError(f"weights file: {exc}") from None
     if len(model_ids) != len(est.w_final):

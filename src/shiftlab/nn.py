@@ -2,7 +2,9 @@
 
 A source model is a stack of tanh affine layers (the feature extractor)
 followed by one linear classifier layer. Everything is plain numpy; gradients
-are exact analytic backprop.
+are exact analytic backprop. The parameters may carry a leading member axis:
+`forward`, `backward` and `sgd_step` then run M same-shaped models at once,
+and each member computes bit for bit what it computes on its own.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ DEFAULT_DEPTH = 2
 
 @dataclass
 class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (out, in), or (M, out, in) in a stack of M members
+    bias: np.ndarray  # (out,), or (M, out)
     activation: str  # "tanh" in the extractor, "linear" in the classifier
 
 
@@ -39,11 +41,11 @@ class SourceModel:
 
     def __post_init__(self) -> None:
         check_domain_id(self.meta.get("domain_id", ""))
-        dims = [layer.weight.shape for layer in self.extractor]
+        dims = [layer.weight.shape[-2:] for layer in self.extractor]
         for (o1, _), (_, i2) in zip(dims, dims[1:]):
             if o1 != i2:
                 raise ParameterError("adjacent extractor layer dimensions do not compose")
-        if self.extractor and self.classifier.weight.shape[1] != dims[-1][0]:
+        if self.extractor and self.classifier.weight.shape[-1] != dims[-1][0]:
             raise ParameterError("classifier input dim must equal extractor output dim")
         # forward() applies exactly these activations, whatever a layer says
         if any(layer.activation != "tanh" for layer in self.extractor):
@@ -56,11 +58,11 @@ class SourceModel:
 
     @property
     def input_dim(self) -> int:
-        return self.extractor[0].weight.shape[1]
+        return self.extractor[0].weight.shape[-1]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier.weight.shape[0]
+        return self.classifier.weight.shape[-2]
 
     def clone(self) -> "SourceModel":
         return copy.deepcopy(self)
@@ -74,16 +76,9 @@ class Gradient:
     classifier: tuple[np.ndarray, np.ndarray]
 
     def add_(self, other: "Gradient") -> "Gradient":
-        for (w, b), (ow, ob) in zip(self.extractor, other.extractor):
-            w += ow
-            b += ob
-        self.classifier[0][...] += other.classifier[0]
-        self.classifier[1][...] += other.classifier[1]
-        return self
-
-    def zero_classifier_(self) -> "Gradient":
-        self.classifier[0][...] = 0.0
-        self.classifier[1][...] = 0.0
+        for mine, theirs in zip([*self.extractor, self.classifier], [*other.extractor, other.classifier]):
+            for a, b in zip(mine, theirs):
+                a += b
         return self
 
 
@@ -138,11 +133,27 @@ def init_model(
     return SourceModel(extractor, classifier, meta)
 
 
+def stack_models(models: list[SourceModel]) -> tuple[SourceModel, list[SourceModel]]:
+    """A copy of same-shaped `models` as one stack, and its members: models
+    whose arrays are views of the stack, so stepping the stack steps them."""
+    layers = [[*m.extractor, m.classifier] for m in models]
+    if len({tuple((l.weight.shape, l.bias.shape) for l in ls) for ls in layers}) != 1:
+        raise ParameterError("stacked models must share one architecture")
+    stacked = [
+        Layer(np.stack([l.weight for l in ls]), np.stack([l.bias for l in ls]), ls[0].activation)
+        for ls in zip(*layers)
+    ]
+    views = [[Layer(l.weight[k], l.bias[k], l.activation) for l in stacked] for k in range(len(models))]
+    members = [SourceModel(v[:-1], v[-1], dict(m.meta)) for v, m in zip(views, models)]
+    return SourceModel(stacked[:-1], stacked[-1]), members
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction stabilization."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    p = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 class Tape(NamedTuple):
@@ -164,9 +175,12 @@ def forward(model: SourceModel, X: np.ndarray) -> Tape:
         )
     acts = [X]
     for layer in model.extractor:
-        acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
+        z = acts[-1] @ layer.weight.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
+        acts.append(np.tanh(z, out=z))
     features = acts[-1]
-    logits = features @ model.classifier.weight.T + model.classifier.bias
+    logits = features @ model.classifier.weight.swapaxes(-1, -2)
+    logits += model.classifier.bias[..., None, :]
     return Tape(features, logits, softmax(logits), acts)
 
 
@@ -186,10 +200,10 @@ def backward(
 
     if dlogits is not None:
         dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.shape != (features.shape[0], model.num_classes):
+        if dlogits.shape != tape.logits.shape:
             raise ParameterError("dlogits shape mismatch")
-        g_wc = dlogits.T @ features
-        g_bc = dlogits.sum(axis=0)
+        g_wc = dlogits.swapaxes(-1, -2) @ features
+        g_bc = dlogits.sum(axis=-2)
         g = dlogits @ model.classifier.weight
     else:
         g_wc = np.zeros_like(model.classifier.weight)
@@ -205,9 +219,12 @@ def backward(
     ext_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.extractor)
     for i in range(len(model.extractor) - 1, -1, -1):
         a_out, a_in = acts[i + 1], acts[i]
-        dz = g * (1.0 - a_out * a_out)  # tanh'
-        ext_grads[i] = (dz.T @ a_in, dz.sum(axis=0))
-        g = dz @ model.extractor[i].weight
+        dz = np.multiply(a_out, a_out)  # tanh' = 1 - a^2, built in this one buffer
+        np.subtract(1.0, dz, out=dz)
+        dz *= g
+        ext_grads[i] = (dz.swapaxes(-1, -2) @ a_in, dz.sum(axis=-2))
+        if i:  # the gradient on the input batch itself is never used
+            g = dz @ model.extractor[i].weight
     return Gradient(ext_grads, (g_wc, g_bc))
 
 
@@ -230,12 +247,8 @@ def sgd_step(model: SourceModel, grad: Gradient, state: OptimizerState) -> None:
         layer.bias -= state.learning_rate * vb
 
 
-def predict(model: SourceModel, X: np.ndarray) -> np.ndarray:
-    return forward(model, X).probs.argmax(axis=1)
-
-
 def accuracy(model: SourceModel, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(predict(model, X) == y))
+    return float(np.mean(forward(model, X).probs.argmax(axis=1) == y))
 
 
 def save_model(model: SourceModel, path) -> None:

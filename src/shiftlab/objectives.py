@@ -83,7 +83,7 @@ def im_probs_grad(probs: np.ndarray) -> np.ndarray:
 
 def softmax_probs_to_logits_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Chain a gradient on softmax outputs back to the logits."""
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
+    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -222,19 +222,16 @@ def ensemble_weights(models: list[SourceModel], weights) -> np.ndarray:
         raise ParameterError("one weight per model required")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-6:
         raise ParameterError("weights must be a simplex vector")
-    k = models[0].num_classes
-    d = models[0].input_dim
-    for model in models[1:]:
-        if model.num_classes != k or model.input_dim != d:
-            raise ParameterError("all models must share num_classes and input dim")
+    if len({(m.num_classes, m.input_dim) for m in models}) > 1:
+        raise ParameterError("all models must share num_classes and input dim")
     return weights
 
 
-def mix_probs(weights, probs: dict) -> np.ndarray:
-    """Weighted sum of per-model softmax outputs, in model order.
+def mix_probs(weights, probs: np.ndarray) -> np.ndarray:
+    """Weighted sum of stacked per-member arrays (softmax outputs), in member order.
 
-    `probs` maps the index of each model with a non-zero weight to its
-    probs; the weights must already be checked by `ensemble_weights`.
+    `probs` has a leading member axis with one entry per weight; the
+    weights must already be checked by `ensemble_weights`.
     """
-    return sum(weights[i] * p for i, p in probs.items())
+    return sum(w * p for w, p in zip(weights, probs))
 

@@ -289,37 +289,40 @@ class TestExpandedBase:
         if mode == "ce+mmd":
             assert any(r.loss_mmd != 0.0 for r in out.record.rows)
 
-    def test_one_forward_per_active_model_and_batch(self, monkeypatch):
-        # ce+mmd reuses each tape for the CE, IM and MMD terms and for backward
+    def _count_stacked_calls(self, monkeypatch, name, iterations):
+        """Train ce+mmd with weights [0.5, 0.5, 0.0]; return the models and the
+        (stack, first-layer weights at call time) of each call to `adapt.<name>`."""
         models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(3)]
         visible = [moons(seed=50 + j, domain_id=f"v{j}") for j in range(2)]
         tgt = moons(rotation=20.0, seed=52, domain_id="t").unlabeled()
-        calls = []
+        calls, original = [], getattr(adapt, name)
 
-        def counting_forward(model, X):
-            calls.append(len(X))
-            return forward(model, X)
+        def counting(model, *args, **kwargs):
+            calls.append((model, model.extractor[0].weight.copy()))
+            return original(model, *args, **kwargs)
 
-        monkeypatch.setattr(adapt, "forward", counting_forward)
+        monkeypatch.setattr(adapt, name, counting)
         # beta_pseudo=0 and no eval_set leave out the full-dataset passes
         train_expanded_base(models, [0.5, 0.5, 0.0], tgt, visible, "ce+mmd",
-                            AdaptationConfig(iterations=1, beta_pseudo=0.0))
-        active = 2
-        assert len(calls) == active * (1 + len(visible))
+                            AdaptationConfig(iterations=iterations, beta_pseudo=0.0))
+        return models, visible, calls
+
+    def _assert_one_call_per_batch_on_the_active_stack(self, monkeypatch, name):
+        iterations = 3
+        models, visible, calls = self._count_stacked_calls(monkeypatch, name, iterations)
+        assert len(calls) == iterations * (1 + len(visible))
+        assert len({id(net) for net, _ in calls}) == 1
+        net, first = calls[0]
+        assert net.extractor[0].weight.shape[0] == 2
+        assert np.array_equal(first, np.stack([m.extractor[0].weight for m in models[:2]]))
+
+    def test_one_forward_per_active_model_and_batch(self, monkeypatch):
+        # per step, the target batch and each visible batch go through one
+        # forward of one stack that holds exactly the active models; ce+mmd
+        # reuses each tape for the CE, IM and MMD terms and for backward
+        self._assert_one_call_per_batch_on_the_active_stack(monkeypatch, "forward")
 
     def test_one_backward_per_tape(self, monkeypatch):
-        # each target tape takes its IM/CE and summed MMD gradients in one pass
-        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(3)]
-        visible = [moons(seed=50 + j, domain_id=f"v{j}") for j in range(2)]
-        tgt = moons(rotation=20.0, seed=52, domain_id="t").unlabeled()
-        calls = []
-
-        def counting_backward(model, tape, dlogits=None, dfeat=None):
-            calls.append(len(tape.features))
-            return backward(model, tape, dlogits, dfeat)
-
-        monkeypatch.setattr(adapt, "backward", counting_backward)
-        train_expanded_base(models, [0.5, 0.5, 0.0], tgt, visible, "ce+mmd",
-                            AdaptationConfig(iterations=1, beta_pseudo=0.0))
-        active = 2
-        assert len(calls) == active * (1 + len(visible))
+        # each tape takes its CE/IM logit and summed MMD feature gradients in
+        # one backward through the stack of exactly the active models
+        self._assert_one_call_per_batch_on_the_active_stack(monkeypatch, "backward")

@@ -266,7 +266,8 @@ class TestExitCodes:
         "gen-negative-seed", "train-negative-seed", "config-negative-seed", "blobs-priors",
         "config-duplicate-key", "domain-space", "domain-comma", "domain-equals",
         "domain-non-ascii", "visible-bad-id", "dataset-bare-token", "dataset-repeated-key",
-        "model-bare-token", "weights-repeated-line",
+        "model-bare-token", "weights-repeated-line", "weights-unknown-line",
+        "weights-fallback-word",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -294,6 +295,10 @@ class TestExitCodes:
             "model-bare-token": model.replace("domain_id=x", "domain_id=b junk")
             .format("1 1 tanh", "1"),
             "weights-repeated-line": weights_text(["a", "b"]) + "models c,d\n",
+            "weights-unknown-line": weights_text(["a", "b"]) + "junk 1 2 3\n",
+            "weights-fallback-word": format_weights(combine_weights([0.2, 0.8], [0.6, 0.4], 1.0),
+                                                    ["a", "b"]).replace("fallback false",
+                                                                        "fallback maybe"),
         }.get(probe, ""))
         train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
         model_a, model_b = id_models(tmp_path)
@@ -347,6 +352,8 @@ class TestExitCodes:
             "dataset-repeated-key": (("verify", "dataset", str(bad)), "'domain' given twice"),
             "model-bare-token": (("verify", "model", str(bad)), "'junk'"),
             "weights-repeated-line": (("verify", "weights", str(bad)), "repeats its models line"),
+            "weights-unknown-line": (("verify", "weights", str(bad)), "unknown 'junk' line"),
+            "weights-fallback-word": (("verify", "weights", str(bad)), "got 'maybe'"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from shiftlab import objectives
 from shiftlab.errors import ParameterError
-from shiftlab.nn import init_model, forward
+from shiftlab.nn import forward, init_model, stack_models
 from shiftlab.objectives import (
     EPS,
     _median,
@@ -466,7 +466,8 @@ class TestEnsemble:
 
     def _mix(self, models, weights, X):
         w = ensemble_weights(models, weights)
-        return mix_probs(w, {i: forward(m, X).probs for i, m in enumerate(models) if w[i] != 0.0})
+        net, _ = stack_models([m for m, wi in zip(models, w) if wi != 0.0])
+        return mix_probs(w[w != 0.0], forward(net, X).probs)
 
     def test_single_model_weight_one(self):
         models = self._models(2)
