@@ -24,17 +24,7 @@ from .nn import (
     sgd_step,
     stack_models,
 )
-from .objectives import (
-    cross_entropy,
-    cross_entropy_probs_grad,
-    ensemble_weights,
-    im_loss,
-    im_probs_grad,
-    mix_probs,
-    mmd_rbf,
-    mmd_rbf_grad,
-    softmax_probs_to_logits_grad,
-)
+from .objectives import cross_entropy, ensemble_weights, im_loss, mix_probs, mmd_rbf, mmd_rbf_grad
 from .records import ExperimentRecord, TrajectoryRow
 
 EVAL_INTERVAL = 10
@@ -55,7 +45,7 @@ class AdaptationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 0 or self.batch_size < 1 or self.pseudo_refresh < 1:
+        if self.iterations < 1 or self.batch_size < 1 or self.pseudo_refresh < 1:
             raise ParameterError("iterations, batch_size and pseudo_refresh must be positive")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
@@ -135,14 +125,13 @@ def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> Traine
         idx = next(src_stream)
         xb, yb = source.features[idx], source.labels[idx]
         tape_s = forward(model, xb)
-        ce = cross_entropy(tape_s.probs, yb)
-        dlogits = softmax_probs_to_logits_grad(tape_s.probs, cross_entropy_probs_grad(tape_s.probs, yb))
+        ce, dce = cross_entropy(tape_s.probs, yb)
         if lam == 0:
-            sgd_step(model, backward(model, tape_s, dlogits), opt)
+            sgd_step(model, backward(model, tape_s, dce), opt)
             return {"loss_total": ce, "loss_ce": ce}
         tape_t = forward(model, target.features[next(tgt_stream)])
         mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
-        grad = backward(model, tape_s, dlogits, lam * gx)
+        grad = backward(model, tape_s, dce, lam * gx)
         grad.add_(backward(model, tape_t, dfeat=lam * gy))
         sgd_step(model, grad, opt)
         if evaluating:
@@ -245,12 +234,11 @@ def _adapt_loop(
         tape = forward(net, target.features[idx])
         ens = mix_probs(wa, tape.probs)
 
-        im = im_loss(ens)
-        dprobs = im_probs_grad(ens)
+        im, dprobs = im_loss(ens)
         ce_value = 0.0
         if cfg.beta_pseudo > 0:
-            ce_value = cross_entropy(ens, pl[idx])
-            dprobs = dprobs + cfg.beta_pseudo * cross_entropy_probs_grad(ens, pl[idx])
+            ce_value, dce = cross_entropy(ens, pl[idx])
+            dprobs = dprobs + cfg.beta_pseudo * dce
 
         vis_ce_value = 0.0
         mmd_value = 0.0
@@ -263,9 +251,8 @@ def _adapt_loop(
                 xs, ys = vs.features[vidx], vs.labels[vidx]
                 tape_s = forward(net, xs)
                 ens_s = mix_probs(wa, tape_s.probs)
-                vis_ce_value += scale * cross_entropy(ens_s, ys)
-                dprobs_s = scale * cross_entropy_probs_grad(ens_s, ys)
-                dlog = softmax_probs_to_logits_grad(tape_s.probs, per_member * dprobs_s)
+                ce_s, dce_s = cross_entropy(ens_s, ys)
+                vis_ce_value += scale * ce_s
                 gs = None
                 if mode == "ce+mmd" and lam > 0:
                     gs, gt = np.empty_like(tape_s.features), np.empty_like(tape.features)
@@ -274,10 +261,10 @@ def _adapt_loop(
                         mmd_value += scale * wa[k] * mv
                         gs[k], gt[k] = c * gx, c * gy
                     dfeat = gt if dfeat is None else dfeat + gt
-                vis_grads.append(backward(net, tape_s, dlog, gs))
+                vis_grads.append(backward(net, tape_s, per_member * (scale * dce_s), gs))
 
-        # one backward through the target tape, carrying its IM/CE logits and MMD features
-        grad = backward(net, tape, softmax_probs_to_logits_grad(tape.probs, per_member * dprobs), dfeat)
+        # one backward through the target tape, carrying its IM/CE probs and MMD features
+        grad = backward(net, tape, per_member * dprobs, dfeat)
         for g in vis_grads:
             grad.add_(g)
         for g in grad.classifier:

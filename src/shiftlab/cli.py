@@ -179,11 +179,7 @@ def cmd_adapt(args) -> int:
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     target_unlabeled = target.unlabeled()
 
-    if args.paradigm == "source":
-        if not args.source_data:
-            raise ParameterError("paradigm 'source' requires --source-data")
-        out = train_source(load_dataset(args.source_data[0]), cfg, eval_set=eval_set)
-    elif args.paradigm == "uda":
+    if args.paradigm == "uda":
         if not args.source_data:
             raise ParameterError("paradigm 'uda' requires --source-data")
         out = train_uda(load_dataset(args.source_data[0]), target_unlabeled, cfg, eval_set=eval_set)
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adapt", help="run an adaptation paradigm")
     p.add_argument("--paradigm", required=True,
-                   choices=["source", "uda", "sfda", "msfda", "expanded"])
+                   choices=["uda", "sfda", "msfda", "expanded"])
     p.add_argument("--target", required=True)
     p.add_argument("--model", action="append", help="source model file (repeatable)")
     p.add_argument("--source-data", dest="source_data", action="append",

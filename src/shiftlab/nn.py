@@ -187,21 +187,24 @@ def forward(model: SourceModel, X: np.ndarray) -> Tape:
 def backward(
     model: SourceModel,
     tape: Tape,
-    dlogits: np.ndarray | None = None,
+    dprobs: np.ndarray | None = None,
     dfeat: np.ndarray | None = None,
 ) -> Gradient:
-    """Exact analytic gradients for upstream gradients on logits and/or features.
+    """Exact analytic gradients for upstream gradients on the probabilities
+    and/or the features that `forward` returned.
 
     `tape` is `forward(model, X)` for the same parameters. Any reduction
     (e.g. the 1/batch of a mean loss) must already be folded into the
     upstream gradients.
     """
-    acts, features = tape.acts, tape.features
+    acts, features, probs = tape.acts, tape.features, tape.probs
 
-    if dlogits is not None:
-        dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.shape != tape.logits.shape:
-            raise ParameterError("dlogits shape mismatch")
+    if dprobs is not None:
+        dprobs = np.asarray(dprobs, dtype=np.float64)
+        if dprobs.shape != probs.shape:
+            raise ParameterError("dprobs shape mismatch")
+        # through the softmax: d logits = p * (d probs - <d probs, p>), row by row
+        dlogits = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         g_wc = dlogits.swapaxes(-1, -2) @ features
         g_bc = dlogits.sum(axis=-2)
         g = dlogits @ model.classifier.weight

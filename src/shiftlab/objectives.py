@@ -1,8 +1,9 @@
 """Losses and statistics composed by the trainers.
 
-Every probability fed to a logarithm is guarded by a single global EPS, and
-each loss comes with an analytic gradient with respect to the probability
-rows (chained through softmax by the trainers).
+Every probability fed to a logarithm is guarded by a single global EPS. Each
+loss is one call that validates its probability rows once and returns its
+value together with its analytic gradient on those rows; `nn.backward`
+chains that gradient through the softmax.
 """
 
 from __future__ import annotations
@@ -25,66 +26,52 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of `labels` under `probs`, and its gradient on `probs`."""
     probs = _check_probs(probs)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (probs.shape[0],):
         raise ParameterError("labels must be a length-batch vector")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ParameterError("label out of range")
-    picked = probs[np.arange(len(labels)), labels]
-    return float((-np.log(picked + EPS)).mean())
-
-
-def cross_entropy_probs_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d cross_entropy / d probs, mean-reduced over the batch."""
-    probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[0]
-    grad = np.zeros_like(probs)
+    n = len(labels)
     rows = np.arange(n)
-    grad[rows, labels] = -1.0 / (probs[rows, labels] + EPS) / n
-    return grad
+    picked = probs[rows, labels] + EPS
+    grad = np.zeros_like(probs)
+    grad[rows, labels] = -1.0 / picked / n
+    return float((-np.log(picked)).mean()), grad
 
 
-def entropy_loss(probs: np.ndarray) -> float:
-    probs = _check_probs(probs)
-    return float((-(probs * np.log(probs + EPS)).sum(axis=1)).mean())
+def _entropy(probs: np.ndarray) -> tuple[float, np.ndarray]:
+    shifted = probs + EPS
+    log = np.log(shifted)
+    return float((-(probs * log).sum(axis=1)).mean()), -(log + probs / shifted) / probs.shape[0]
 
 
-def entropy_probs_grad(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[0]
-    return -(np.log(probs + EPS) + probs / (probs + EPS)) / n
-
-
-def diversity_loss(probs: np.ndarray) -> float:
-    """Negative entropy of the marginal prediction; minimized at uniform marginal."""
-    probs = _check_probs(probs)
+def _diversity(probs: np.ndarray) -> tuple[float, np.ndarray]:
     marginal = probs.mean(axis=0)
-    return float((marginal * np.log(marginal + EPS)).sum())
+    shifted = marginal + EPS
+    log = np.log(shifted)
+    row = (log + marginal / shifted) / probs.shape[0]
+    return float((marginal * log).sum()), np.broadcast_to(row, probs.shape).copy()
 
 
-def diversity_probs_grad(probs: np.ndarray) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[0]
-    marginal = probs.mean(axis=0)
-    row = (np.log(marginal + EPS) + marginal / (marginal + EPS)) / n
-    return np.broadcast_to(row, probs.shape).copy()
+def entropy_loss(probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean per-row prediction entropy, and its gradient on `probs`."""
+    return _entropy(_check_probs(probs))
 
 
-def im_loss(probs: np.ndarray) -> float:
-    """Information-maximization loss: entropy + diversity."""
-    return entropy_loss(probs) + diversity_loss(probs)
+def diversity_loss(probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negative entropy of the marginal prediction, minimized at a uniform
+    marginal, and its gradient on `probs`."""
+    return _diversity(_check_probs(probs))
 
 
-def im_probs_grad(probs: np.ndarray) -> np.ndarray:
-    return entropy_probs_grad(probs) + diversity_probs_grad(probs)
-
-
-def softmax_probs_to_logits_grad(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Chain a gradient on softmax outputs back to the logits."""
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    return probs * (dprobs - inner)
+def im_loss(probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Information-maximization loss, entropy + diversity, and its gradient on `probs`."""
+    probs = _check_probs(probs)
+    (ent, d_ent), (div, d_div) = _entropy(probs), _diversity(probs)
+    return ent + div, d_ent + d_div
 
 
 def median_bandwidths(sq: np.ndarray) -> np.ndarray:

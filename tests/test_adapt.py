@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from shiftlab import adapt
+from shiftlab import adapt, objectives
 from shiftlab.adapt import (
     EVAL_INTERVAL,
     AdaptationConfig,
@@ -74,6 +74,8 @@ class TestBatchStream:
 
 class TestConfig:
     def test_rejects_bad_values(self):
+        with pytest.raises(ParameterError, match="must be positive"):
+            AdaptationConfig(iterations=0)
         with pytest.raises(ParameterError):
             AdaptationConfig(batch_size=0)
         with pytest.raises(ParameterError):
@@ -323,6 +325,32 @@ class TestExpandedBase:
         self._assert_one_call_per_batch_on_the_active_stack(monkeypatch, "forward")
 
     def test_one_backward_per_tape(self, monkeypatch):
-        # each tape takes its CE/IM logit and summed MMD feature gradients in
+        # each tape takes its CE/IM probability and summed MMD feature gradients in
         # one backward through the stack of exactly the active models
         self._assert_one_call_per_batch_on_the_active_stack(monkeypatch, "backward")
+
+
+class TestProbabilityChecks:
+    """Each loss call checks its probability rows once, so a step makes one check
+    per loss: the source CE for source and uda; IM and the pseudo-label CE for
+    sfda and msfda; and for expanded those plus one CE per visible source."""
+
+    @pytest.mark.parametrize("trainer, visible, per_step", [
+        ("source", 0, 1), ("uda", 0, 1), ("sfda", 0, 2), ("msfda", 0, 2),
+        ("expanded", 1, 3), ("expanded", 2, 4),
+    ])
+    def test_checks_per_step(self, monkeypatch, trainer, visible, per_step):
+        calls = []
+        check = objectives._check_probs
+        monkeypatch.setattr(objectives, "_check_probs", lambda p: calls.append(1) or check(p))
+        src = moons(seed=4)
+        tgt = moons(rotation=20.0, seed=5, domain_id="tgt").unlabeled()
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(2)]
+        cfg = AdaptationConfig(iterations=4, pseudo_refresh=2)
+        assert cfg.beta_pseudo > 0
+        if trainer == "expanded":
+            sources = [moons(seed=60 + j, domain_id=f"v{j}") for j in range(visible)]
+            train_expanded_base(models, [0.5, 0.5], tgt, sources, "ce+mmd", cfg)
+        else:
+            TRAINERS[trainer](src, tgt, models, cfg, None)
+        assert len(calls) == per_step * cfg.iterations

@@ -119,6 +119,15 @@ class TestAdapt:
         assert run("adapt", "--paradigm", "msfda", "--target", str(target_file),
                    "--model", str(model_file), "--source-data", str(moons_file)) == 2
 
+    def test_source_paradigm_is_gone(self, target_file, moons_file, capsys):
+        # a source model comes from train-source; adapt has no such paradigm
+        with pytest.raises(SystemExit) as exc:
+            run("adapt", "--paradigm", "source", "--target", str(target_file),
+                "--source-data", str(moons_file))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'source'" in err
+
     def test_uda_requires_source_data(self, target_file):
         assert run("adapt", "--paradigm", "uda", "--target", str(target_file)) == 2
 
@@ -267,7 +276,7 @@ class TestExitCodes:
         "config-duplicate-key", "domain-space", "domain-comma", "domain-equals",
         "domain-non-ascii", "visible-bad-id", "dataset-bare-token", "dataset-repeated-key",
         "model-bare-token", "weights-repeated-line", "weights-unknown-line",
-        "weights-fallback-word",
+        "weights-fallback-word", "train-zero-iterations",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -335,6 +344,7 @@ class TestExitCodes:
             "gen-negative-seed": (("gen", "two-moons", "--seed", "-1", "--out", str(bad)),
                                   "got -1"),
             "train-negative-seed": ((*train, "--seed", "-1"), "got -1"),
+            "train-zero-iterations": ((*train, "--iterations", "0"), "must be positive"),
             "config-negative-seed": ((*train, "--config", str(cfg)), "got -1"),
             "blobs-priors": (("gen", "blobs", "--priors", "0.5,x", "--out", str(bad)),
                              "'0.5,x'"),

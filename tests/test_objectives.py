@@ -8,25 +8,20 @@ from hypothesis.extra.numpy import arrays
 
 from shiftlab import objectives
 from shiftlab.errors import ParameterError
-from shiftlab.nn import forward, init_model, stack_models
+from shiftlab.nn import backward, forward, init_model, stack_models
 from shiftlab.objectives import (
     EPS,
     _median,
     cross_entropy,
-    cross_entropy_probs_grad,
     diversity_loss,
-    diversity_probs_grad,
     ensemble_weights,
     entropy_loss,
-    entropy_probs_grad,
     im_loss,
-    im_probs_grad,
     median_bandwidths,
     mix_probs,
     mmd_rbf,
     mmd_rbf_grad,
     _sq_dists,
-    softmax_probs_to_logits_grad,
 )
 
 
@@ -145,19 +140,19 @@ class TestCrossEntropy:
         probs = np.array([[0.9, 0.1], [0.25, 0.75]])
         labels = np.array([0, 1])
         expected = -(np.log(0.9 + EPS) + np.log(0.75 + EPS)) / 2
-        assert cross_entropy(probs, labels) == pytest.approx(expected, abs=1e-12)
+        assert cross_entropy(probs, labels)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_prediction_near_zero(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert cross_entropy(probs, np.array([0, 1])) == pytest.approx(0.0, abs=1e-5)
+        assert cross_entropy(probs, np.array([0, 1]))[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(0)
         probs = random_probs(rng, 6, 3)
         labels = rng.integers(0, 3, size=6)
-        g = cross_entropy_probs_grad(probs, labels)
+        g = cross_entropy(probs, labels)[1]
         # eps below the simplex-check tolerance so perturbed rows stay valid
-        fd = fd_grad(lambda: cross_entropy(probs, labels), probs, eps=1e-7)
+        fd = fd_grad(lambda: cross_entropy(probs, labels)[0], probs, eps=1e-7)
         # unconstrained FD: only the picked entries carry gradient
         assert np.allclose(g, fd, atol=1e-4)
 
@@ -174,59 +169,55 @@ class TestCrossEntropy:
 class TestEntropyAndDiversity:
     def test_uniform_rows_maximize_entropy(self):
         uniform = np.full((4, 3), 1.0 / 3.0)
-        assert entropy_loss(uniform) == pytest.approx(np.log(3.0), abs=1e-5)
+        assert entropy_loss(uniform)[0] == pytest.approx(np.log(3.0), abs=1e-5)
         peaked = np.array([[1.0, 0.0, 0.0]] * 4)
-        assert entropy_loss(peaked) == pytest.approx(0.0, abs=1e-4)
+        assert entropy_loss(peaked)[0] == pytest.approx(0.0, abs=1e-4)
 
     def test_diversity_minimized_at_uniform_marginal(self):
         # two confidently different rows -> uniform marginal -> -log 2
         probs = np.array([[0.99, 0.01], [0.01, 0.99]])
-        assert diversity_loss(probs) == pytest.approx(-np.log(2.0), abs=1e-5)
+        assert diversity_loss(probs)[0] == pytest.approx(-np.log(2.0), abs=1e-5)
         # collapsed predictions -> marginal entropy ~0 -> loss ~0 (larger)
         collapsed = np.array([[0.99, 0.01], [0.99, 0.01]])
-        assert diversity_loss(collapsed) > diversity_loss(probs)
+        assert diversity_loss(collapsed)[0] > diversity_loss(probs)[0]
 
     def test_im_is_sum_of_parts(self):
         probs = random_probs(np.random.default_rng(3), 8, 4)
-        total = im_loss(probs)
-        assert total == pytest.approx(entropy_loss(probs) + diversity_loss(probs), abs=1e-12)
+        (total, grad), (ent, d_ent), (div, d_div) = (
+            im_loss(probs), entropy_loss(probs), diversity_loss(probs)
+        )
+        assert total == pytest.approx(ent + div, abs=1e-12)
+        assert np.allclose(grad, d_ent + d_div, atol=1e-12)
 
-    @pytest.mark.parametrize(
-        "loss,grad",
-        [
-            (entropy_loss, entropy_probs_grad),
-            (diversity_loss, diversity_probs_grad),
-            (im_loss, im_probs_grad),
-        ],
-    )
-    def test_grads_match_fd(self, loss, grad):
+    @pytest.mark.parametrize("loss", [entropy_loss, diversity_loss, im_loss],
+                             ids=lambda loss: loss.__name__)
+    def test_grads_match_fd(self, loss):
         probs = random_probs(np.random.default_rng(4), 5, 3)
-        g = grad(probs)
-        fd = fd_grad(lambda: loss(probs), probs, eps=1e-7)
+        g = loss(probs)[1]
+        fd = fd_grad(lambda: loss(probs)[0], probs, eps=1e-7)
         assert np.allclose(g, fd, atol=1e-5)
 
 
 class TestSoftmaxChain:
+    """`nn.backward` chains a gradient on the probabilities through the softmax."""
+
     def test_matches_fd_through_logits(self):
+        # on a one-row batch the classifier bias moves the logits one for one,
+        # so its gradient is the chained gradient on the logits
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=(6, 4))
-        U = rng.normal(size=(6, 4))
-
-        def softmax(z):
-            z = z - z.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            return e / e.sum(axis=1, keepdims=True)
-
-        probs = softmax(logits)
-        g = softmax_probs_to_logits_grad(probs, U)
-        fd = fd_grad(lambda: float((softmax(logits) * U).sum()), logits)
-        assert np.allclose(g, fd, atol=1e-6)
+        m = init_model(2, 5, 4, depth=2, seed=5)
+        for x, u in zip(rng.normal(size=(6, 1, 2)), rng.normal(size=(6, 1, 4))):
+            g = backward(m, forward(m, x), u).classifier[1]
+            fd = fd_grad(lambda: float((forward(m, x).probs * u).sum()), m.classifier.bias)
+            assert np.allclose(g, fd, atol=1e-6)
 
     def test_constant_upstream_gives_zero(self):
         # softmax output sums to 1, so a constant direction has no effect
-        probs = random_probs(np.random.default_rng(6), 4, 3)
-        g = softmax_probs_to_logits_grad(probs, np.ones_like(probs))
-        assert np.allclose(g, 0.0, atol=1e-12)
+        m = init_model(2, 5, 3, depth=2, seed=6)
+        tape = forward(m, np.random.default_rng(6).normal(size=(4, 2)))
+        g = backward(m, tape, np.ones_like(tape.probs))
+        for gw, gb in [*g.extractor, g.classifier]:
+            assert np.allclose(gw, 0.0, atol=1e-12) and np.allclose(gb, 0.0, atol=1e-12)
 
 
 class TestMmd:

@@ -1,14 +1,20 @@
 """The stacked ensemble path against the per-model path it replaced.
 
 `ref_forward`, `ref_backward` and `ref_sgd_step` are the nn code that ran one
-model at a time before ensembles were stacked, and `ref_adapt` is the
-per-model adaptation loop built on them, one dict entry per member. Every
-stacked result must equal them bit for bit; where it does not, these tests
-say which function or which trainer step diverged first.
+model at a time before ensembles were stacked; the `ref_*` losses and
+`ref_logits_grad` are the objectives code from before each loss returned its
+value and gradient in one call, when the trainers chained the gradient
+through the softmax themselves. `ref_adapt` is the per-model adaptation loop
+built on them, one dict entry per member. Every result of the code under
+test must equal them bit for bit; where it does not, these tests say which
+function or which trainer step diverged first.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shiftlab import adapt
 from shiftlab.adapt import (
@@ -31,10 +37,11 @@ from shiftlab.nn import (
     stack_models,
 )
 from shiftlab.objectives import (
+    EPS,
     cross_entropy,
-    cross_entropy_probs_grad,
+    diversity_loss,
+    entropy_loss,
     im_loss,
-    im_probs_grad,
     mmd_rbf_grad,
 )
 
@@ -92,8 +99,50 @@ def ref_sgd_step(model, grad, state):
 
 
 def ref_logits_grad(probs, dprobs):
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
+    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
     return probs * (dprobs - inner)
+
+
+def ref_cross_entropy(probs, labels):
+    picked = probs[np.arange(len(labels)), labels]
+    return float((-np.log(picked + EPS)).mean())
+
+
+def ref_cross_entropy_probs_grad(probs, labels):
+    n = probs.shape[0]
+    grad = np.zeros_like(probs)
+    rows = np.arange(n)
+    grad[rows, labels] = -1.0 / (probs[rows, labels] + EPS) / n
+    return grad
+
+
+def ref_entropy_loss(probs):
+    return float((-(probs * np.log(probs + EPS)).sum(axis=1)).mean())
+
+
+def ref_entropy_probs_grad(probs):
+    n = probs.shape[0]
+    return -(np.log(probs + EPS) + probs / (probs + EPS)) / n
+
+
+def ref_diversity_loss(probs):
+    marginal = probs.mean(axis=0)
+    return float((marginal * np.log(marginal + EPS)).sum())
+
+
+def ref_diversity_probs_grad(probs):
+    n = probs.shape[0]
+    marginal = probs.mean(axis=0)
+    row = (np.log(marginal + EPS) + marginal / (marginal + EPS)) / n
+    return np.broadcast_to(row, probs.shape).copy()
+
+
+def ref_im_loss(probs):
+    return ref_entropy_loss(probs) + ref_diversity_loss(probs)
+
+
+def ref_im_probs_grad(probs):
+    return ref_entropy_probs_grad(probs) + ref_diversity_probs_grad(probs)
 
 
 def ref_mix(weights, probs):
@@ -148,12 +197,12 @@ def ref_adapt(models, weights, target, cfg, eval_set, visible_sources=(), mode=N
         idx = next(stream)
         tapes = {i: ref_forward(models[i], target.features[idx]) for i in active}
         ens = ref_mix(weights, {i: t.probs for i, t in tapes.items()})
-        im = im_loss(ens)
-        dprobs = im_probs_grad(ens)
+        im = ref_im_loss(ens)
+        dprobs = ref_im_probs_grad(ens)
         ce_value = 0.0
         if cfg.beta_pseudo > 0:
-            ce_value = cross_entropy(ens, pl[idx])
-            dprobs = dprobs + cfg.beta_pseudo * cross_entropy_probs_grad(ens, pl[idx])
+            ce_value = ref_cross_entropy(ens, pl[idx])
+            dprobs = dprobs + cfg.beta_pseudo * ref_cross_entropy_probs_grad(ens, pl[idx])
         vis_ce_value = 0.0
         mmd_value = 0.0
         vis_grads = []
@@ -164,8 +213,8 @@ def ref_adapt(models, weights, target, cfg, eval_set, visible_sources=(), mode=N
             xs, ys = vs.features[vidx], vs.labels[vidx]
             tapes_s = {i: ref_forward(models[i], xs) for i in active}
             ens_s = ref_mix(weights, {i: t.probs for i, t in tapes_s.items()})
-            vis_ce_value += scale * cross_entropy(ens_s, ys)
-            dprobs_s = scale * cross_entropy_probs_grad(ens_s, ys)
+            vis_ce_value += scale * ref_cross_entropy(ens_s, ys)
+            dprobs_s = scale * ref_cross_entropy_probs_grad(ens_s, ys)
             for i, ts in tapes_s.items():
                 dlog = ref_logits_grad(ts.probs, weights[i] * dprobs_s)
                 if mode == "ce+mmd" and lam > 0:
@@ -219,16 +268,17 @@ def test_stacked_forward_and_backward_equal_each_member(members, n):
     X = rng.normal(size=(n, 2))
     net, _ = stack_models(members)
     tape = forward(net, X)
-    dlogits = rng.normal(size=tape.logits.shape)
+    dprobs = rng.normal(size=tape.probs.shape)
     dfeat = rng.normal(size=tape.features.shape)
-    grad = backward(net, tape, dlogits, dfeat)
+    grad = backward(net, tape, dprobs, dfeat)
     dfeat_only = backward(net, tape, dfeat=dfeat)
     for k, model in enumerate(members):
         ref = ref_forward(model, X)
         # features, logits, probs and the activations after the shared input
         for got, want in zip([*tape[:3], *tape.acts[1:]], [*ref[:3], *ref.acts[1:]]):
             assert np.array_equal(got[k], want)
-        for stacked, single in ((grad, ref_backward(model, ref, dlogits[k], dfeat[k])),
+        dlogits = ref_logits_grad(ref.probs, dprobs[k])
+        for stacked, single in ((grad, ref_backward(model, ref, dlogits, dfeat[k])),
                                 (dfeat_only, ref_backward(model, ref, dfeat=dfeat[k]))):
             for (gw, gb), (rw, rb) in zip([*stacked.extractor, stacked.classifier],
                                           [*single.extractor, single.classifier]):
@@ -267,6 +317,54 @@ def test_members_are_views_of_a_copy(members):
 def test_stack_refuses_models_of_two_architectures(members):
     with pytest.raises(ParameterError, match="one architecture"):
         stack_models([members[0], init_model(2, 8, 3, seed=0)])
+
+
+# ---------------------------------------------------------------------------
+# Losses: each (value, dprobs) call against the reference value and gradient,
+# and backward's softmax chain against the reference chain.
+
+
+REF_LOSSES = {
+    entropy_loss: (ref_entropy_loss, ref_entropy_probs_grad),
+    diversity_loss: (ref_diversity_loss, ref_diversity_probs_grad),
+    im_loss: (ref_im_loss, ref_im_probs_grad),
+    cross_entropy: (ref_cross_entropy, ref_cross_entropy_probs_grad),
+}
+
+
+def assert_losses_equal_reference(probs, labels):
+    """Every loss on `probs` (and `labels`), and backward through a tape carrying
+    `probs`, equal the reference bit for bit."""
+    n, k = probs.shape
+    model = init_model(2, 8, k, depth=2, seed=k)
+    tape = forward(model, np.random.default_rng(n).normal(size=(n, 2)))._replace(probs=probs)
+    for loss, (ref_value, ref_grad) in REF_LOSSES.items():
+        args = (probs, labels) if loss is cross_entropy else (probs,)
+        value, dprobs = loss(*args)
+        assert value == ref_value(*args), loss.__name__
+        assert np.array_equal(dprobs, ref_grad(*args)), loss.__name__
+        got = backward(model, tape, dprobs)
+        want = ref_backward(model, tape, ref_logits_grad(probs, dprobs))
+        for (gw, gb), (rw, rb) in zip([*got.extractor, got.classifier],
+                                      [*want.extractor, want.classifier]):
+            assert np.array_equal(gw, rw) and np.array_equal(gb, rb), loss.__name__
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (7, 3), (64, 2), (400, 4)])
+def test_losses_and_chain_equal_reference_on_random_rows(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    raw = rng.uniform(size=(n, k))
+    assert_losses_equal_reference(raw / raw.sum(axis=1, keepdims=True), rng.integers(0, k, size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_losses_and_chain_equal_reference_on_drawn_rows(data):
+    n, k = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 5))
+    raw = data.draw(arrays(np.float64, (n, k), elements=st.floats(0.0, 1.0)))
+    assume(np.all(raw.sum(axis=1) > 0))
+    labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    assert_losses_equal_reference(raw / raw.sum(axis=1, keepdims=True), labels)
 
 
 # ---------------------------------------------------------------------------
