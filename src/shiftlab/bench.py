@@ -9,7 +9,7 @@ Iteration counts are mini-batch steps.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,11 +60,11 @@ class MoonsRecipe:
 
 @dataclass
 class ScenarioSpec:
+    """One adaptation scenario over a suite's sources (see `run_scenario`)."""
+
     name: str
     paradigm: str
-    sources: dict  # domain_id -> MoonsRecipe
     target: MoonsRecipe
-    seeds: list
     config: AdaptationConfig = field(default_factory=AdaptationConfig)
     shared: tuple | None = None  # sources whose data MEA scores models on; None: all
     expanded_visible: list | None = None  # domain ids injected as visible data
@@ -72,106 +72,86 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.paradigm not in PARADIGMS:
             raise ParameterError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
-        if not self.seeds:
-            raise ParameterError("need at least one seed")
         if self.paradigm == "expanded-base" and not self.expanded_visible:
             raise ParameterError("expanded-base requires expanded_visible domains")
 
 
-def _data_seed(seed: int, j: int) -> int:
-    """Generator seed of the j-th source domain of a scenario run."""
-    return seed * 1000 + j + 1
+def _data_seeds(seed: int, n_sources: int):
+    """Generator seeds of one suite seed: one per source domain, and the target's."""
+    return [seed * 1000 + j + 1 for j in range(n_sources)], seed * 1000 + 997
 
 
-def _build_domains(sources: dict, target: MoonsRecipe, seed: int):
-    """The source datasets by domain id, and the labeled target, of one seed."""
-    datasets = {}
-    for j, (domain_id, recipe) in enumerate(sources.items()):
-        datasets[domain_id] = recipe.build(_data_seed(seed, j), domain_id)
-    return datasets, target.build(seed * 1000 + 997, "target")
-
-
-def _train_source_models(spec: ScenarioSpec, datasets, seed: int, memo: dict):
-    """Source model per domain, taken from `memo` or trained and added to it.
-
-    A source model is a pure function of the key below, so specs that share
-    a memo train each distinct source once.
-    """
-    models = {}
-    for j, domain_id in enumerate(datasets):
-        cfg = replace(SOURCE_CONFIG, seed=seed * 100 + j)
-        key = (domain_id, spec.sources[domain_id], _data_seed(seed, j), astuple(cfg))
-        if key not in memo:
-            memo[key] = train_source(datasets[domain_id], cfg).model
-        models[domain_id] = memo[key]
-    return models
-
-
-def _evaluation_record(run_id, scenario, models, weights, eval_set) -> ExperimentRecord:
+def _evaluation_record(models, weights, eval_set) -> ExperimentRecord:
     acc = _ensemble_accuracy(stack_models(models)[0], weights, eval_set)
-    rec = ExperimentRecord(run_id=run_id, scenario=scenario)
+    rec = ExperimentRecord(run_id="", scenario="")
     rec.rows.append(TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc))
     rec.summary = {"final_accuracy": acc, "iterations": 0}
     return rec
 
 
-def run_scenario(spec: ScenarioSpec, source_models: dict | None = None) -> list:
-    """One ExperimentRecord per seed, deterministic per seed.
+def run_scenario(sources: dict, specs: list, seeds) -> list:
+    """Run a suite's scenarios on its sources (domain_id -> MoonsRecipe), seed by seed.
 
-    Seeds run one after another on the calling thread. `source_models` is
-    an optional memo of trained source models, shared by the specs of one
-    suite call so that each distinct source is trained once. The models in
-    it are shared, never modified: trainers adapt clones. The records are
-    the same with or without it.
+    Each seed builds the source datasets once and trains the source models
+    once, on the first spec that uses them (uda trains its own). Every spec
+    of the seed shares those models, as trainers adapt clones, and builds
+    its own target. Returns one list of records per spec, one record per
+    seed, in seed order. Everything runs on the calling thread.
     """
-    memo = {} if source_models is None else source_models
-    records = []
-    for seed in spec.seeds:
-        try:
-            datasets, target_eval = _build_domains(spec.sources, spec.target, seed)
-            target = target_eval.unlabeled()
-            cfg = replace(spec.config, seed=seed)
-            run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
-            if spec.paradigm == "uda":  # trains its own model from the first source's data
-                first = next(iter(datasets.values()))
-                record = train_uda(first, target, cfg, eval_set=target_eval).record
-            else:
-                model_list = list(_train_source_models(spec, datasets, seed, memo).values())
-                weights = np.full(len(model_list), 1.0 / len(model_list))
+    if not seeds:
+        raise ParameterError("need at least one seed")
+    runs = [[] for _ in specs]
+    for seed in seeds:
+        source_seeds, target_seed = _data_seeds(seed, len(sources))
+        datasets = {d: r.build(s, d) for (d, r), s in zip(sources.items(), source_seeds)}
+        model_list = []
+        for spec, records in zip(specs, runs):
+            try:
+                target_eval = spec.target.build(target_seed, "target")
+                target = target_eval.unlabeled()
+                cfg = replace(spec.config, seed=seed)
+                if spec.paradigm != "uda" and not model_list:
+                    model_list = [
+                        train_source(ds, replace(SOURCE_CONFIG, seed=seed * 100 + j)).model
+                        for j, ds in enumerate(datasets.values())
+                    ]
+                weights = np.full(len(model_list), 1.0 / len(model_list)) if model_list else None
 
-            if spec.paradigm == "source-only":
-                record = _evaluation_record(run_id, spec.name, model_list, weights, target_eval)
-            elif spec.paradigm == "sfda":
-                record = train_sfda(model_list[0], target, cfg, eval_set=target_eval).record
-            elif spec.paradigm == "msfda-uniform":
-                record = train_msfda(model_list, weights, target, cfg, eval_set=target_eval).record
-            elif spec.paradigm == "msfda-mea":
-                shared = {d: datasets[d] for d in spec.shared or datasets}
-                est, prov = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
-                record = train_msfda(
-                    model_list, est.w_final, target, cfg, eval_set=target_eval
-                ).record
-                record.summary["weights"] = est.w_final.tolist()
-                record.summary["provenance"] = prov
-            elif spec.paradigm == "expanded-base":
-                visible = [datasets[d] for d in spec.expanded_visible]
-                record = train_expanded_base(
-                    model_list, weights, target, visible, "ce-only", cfg,
-                    eval_set=target_eval,
-                ).record
-            record.run_id = run_id
-            record.scenario = spec.name
-            record.summary["paradigm"] = spec.paradigm
-            record.summary["seed"] = seed
-            conv = iterations_to_convergence(record)
-            record.summary["iterations_to_convergence"] = conv
-            record.summary["converged"] = conv is not None
-            records.append(record)
-        except Exception as exc:
-            context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
-            exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
-            raise
-    return records
+                if spec.paradigm == "uda":  # trains its own model from the first source's data
+                    first = next(iter(datasets.values()))
+                    record = train_uda(first, target, cfg, eval_set=target_eval).record
+                elif spec.paradigm == "source-only":
+                    record = _evaluation_record(model_list, weights, target_eval)
+                elif spec.paradigm == "sfda":
+                    record = train_sfda(model_list[0], target, cfg, eval_set=target_eval).record
+                elif spec.paradigm == "msfda-uniform":
+                    record = train_msfda(model_list, weights, target, cfg, eval_set=target_eval).record
+                elif spec.paradigm == "msfda-mea":
+                    shared = {d: datasets[d] for d in spec.shared or datasets}
+                    est, prov = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
+                    record = train_msfda(
+                        model_list, est.w_final, target, cfg, eval_set=target_eval
+                    ).record
+                    record.summary["weights"] = est.w_final.tolist()
+                    record.summary["provenance"] = prov
+                elif spec.paradigm == "expanded-base":
+                    visible = [datasets[d] for d in spec.expanded_visible]
+                    record = train_expanded_base(
+                        model_list, weights, target, visible, "ce-only", cfg, eval_set=target_eval
+                    ).record
+                record.run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
+                record.scenario = spec.name
+                record.summary["paradigm"] = spec.paradigm
+                record.summary["seed"] = seed
+                conv = iterations_to_convergence(record)
+                record.summary["iterations_to_convergence"] = conv
+                record.summary["converged"] = conv is not None
+                records.append(record)
+            except Exception as exc:
+                context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
+                exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
+                raise
+    return runs
 
 
 def iterations_to_convergence(
@@ -219,19 +199,15 @@ _MIXED_SOURCES = {
 
 def convergence_suite(seeds, out_dir=None) -> dict:
     """SFDA vs UDA iterations-to-convergence on 30-degree rotated moons."""
-    source = {"src": MoonsRecipe(rotation=0.0)}
     target = MoonsRecipe(rotation=30.0)
-    sfda_spec = ScenarioSpec(
-        "moons30", "sfda", source, target, list(seeds),
-        config=replace(ADAPT_CONFIG, iterations=300),
+    sfda_records, uda_records = run_scenario(
+        {"src": MoonsRecipe(rotation=0.0)},
+        [
+            ScenarioSpec("moons30", "sfda", target, replace(ADAPT_CONFIG, iterations=300)),
+            ScenarioSpec("moons30", "uda", target, replace(ADAPT_CONFIG, iterations=2000)),
+        ],
+        seeds,
     )
-    uda_spec = ScenarioSpec(
-        "moons30", "uda", source, target, list(seeds),
-        config=replace(ADAPT_CONFIG, iterations=2000),
-    )
-    source_models = {}
-    sfda_records = run_scenario(sfda_spec, source_models)
-    uda_records = run_scenario(uda_spec, source_models)
 
     per_seed = []
     for s, rs, ru in zip(seeds, sfda_records, uda_records):
@@ -265,16 +241,16 @@ def convergence_suite(seeds, out_dir=None) -> dict:
 
 def negative_transfer_suite(seeds, out_dir=None) -> dict:
     """Adversarial-source suite: uniform MSFDA vs MEA vs expanded base."""
-    common = dict(
-        sources=_MIXED_SOURCES, target=MoonsRecipe(rotation=30.0), seeds=list(seeds),
-        config=ADAPT_CONFIG,
-    )
-    source_models = {}
-    uniform = run_scenario(ScenarioSpec("negxfer", "msfda-uniform", **common), source_models)
-    mea_runs = run_scenario(ScenarioSpec("negxfer", "msfda-mea", **common), source_models)
-    expanded = run_scenario(
-        ScenarioSpec("negxfer", "expanded-base", expanded_visible=["srcC"], **common),
-        source_models,
+    target = MoonsRecipe(rotation=30.0)
+    uniform, mea_runs, expanded = run_scenario(
+        _MIXED_SOURCES,
+        [
+            ScenarioSpec("negxfer", "msfda-uniform", target, ADAPT_CONFIG),
+            ScenarioSpec("negxfer", "msfda-mea", target, ADAPT_CONFIG),
+            ScenarioSpec("negxfer", "expanded-base", target, ADAPT_CONFIG,
+                         expanded_visible=["srcC"]),
+        ],
+        seeds,
     )
     adv_index = 2  # srcC is the third model
 
@@ -314,13 +290,11 @@ def overfitting_suite(seeds, out_dir=None) -> dict:
     """Adapt on 90% of a 600-point target, compare train/test accuracy gap."""
     if not seeds:
         raise ParameterError("need at least one seed")
-    sources = {"src": MoonsRecipe(rotation=0.0)}
-    target = MoonsRecipe(rotation=30.0, n=600)
-
     per_seed, records = [], []
     for seed in seeds:
-        datasets, tgt = _build_domains(sources, target, seed)
-        src = datasets["src"]
+        (src_seed,), tgt_seed = _data_seeds(seed, 1)
+        src = MoonsRecipe(rotation=0.0).build(src_seed, "src")
+        tgt = MoonsRecipe(rotation=30.0, n=600).build(tgt_seed, "target")
         tr, te = split(tgt, 0.9, seed=seed)
         # isolation audit: portions are disjoint and cover the target exactly
         merged = np.vstack([tr.features, te.features])
@@ -365,19 +339,18 @@ def fusion_suite(seeds, out_dir=None) -> dict:
     """Table-style data-model fusion report over several target rotations."""
     rotations = (20.0, 30.0, 45.0)
     paradigms = ("source-only", "msfda-uniform", "msfda-mea")
-    records = []
-    accs = {}  # (paradigm, scenario) -> list over seeds
-    source_models = {}
-    for rot in rotations:
-        name = f"moons{int(rot)}"
-        for paradigm in paradigms:
-            spec = ScenarioSpec(
-                name, paradigm, _MIXED_SOURCES, MoonsRecipe(rotation=rot), list(seeds),
-                config=ADAPT_CONFIG, shared=("srcA", "srcB"),  # srcC shares its model only
-            )
-            runs = run_scenario(spec, source_models)
-            records.extend(runs)
-            accs[(paradigm, name)] = [r.final_accuracy() for r in runs]
+    specs = [
+        ScenarioSpec(
+            f"moons{int(rot)}", paradigm, MoonsRecipe(rotation=rot), ADAPT_CONFIG,
+            shared=("srcA", "srcB"),  # srcC shares its model only
+        )
+        for rot in rotations
+        for paradigm in paradigms
+    ]
+    records, accs = [], {}  # accs: (paradigm, scenario) -> list over seeds
+    for spec, runs in zip(specs, run_scenario(_MIXED_SOURCES, specs, seeds)):
+        records.extend(runs)
+        accs[(spec.paradigm, spec.name)] = [r.final_accuracy() for r in runs]
 
     per_seed = []
     for i, s in enumerate(seeds):

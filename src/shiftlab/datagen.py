@@ -99,7 +99,7 @@ def gen_two_moons(
     """
     if n < 2:
         raise ParameterError(f"need n >= 2, got {n}")
-    if noise < 0:
+    if not noise >= 0:  # NaN fails too
         raise ParameterError(f"noise must be >= 0, got {noise}")
     if not 0.0 <= rotation < 360.0:
         raise ParameterError(f"rotation must be in [0, 360), got {rotation}")
@@ -145,12 +145,16 @@ def gen_gaussian_blobs(
         raise ParameterError(f"need num_classes >= 2, got {num_classes}")
     if n < 1 or d < 1:
         raise ParameterError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if not np.isfinite(separation):
+        raise ParameterError(f"separation must be finite, got {separation}")
     _check_seed(seed)
     try:
         priors = np.asarray(priors, dtype=np.float64)
     except (TypeError, ValueError):
         raise ParameterError(f"priors must be numbers, got {priors!r}") from None
-    if priors.shape != (num_classes,) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-9:
+    if not (
+        priors.shape == (num_classes,) and np.all(priors >= 0) and abs(priors.sum() - 1.0) <= 1e-9
+    ):  # NaN fails too
         raise ParameterError("priors must be a length-K probability vector summing to 1")
 
     rng = np.random.default_rng(seed)

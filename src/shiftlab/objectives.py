@@ -207,7 +207,7 @@ def ensemble_weights(models: list[SourceModel], weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if len(models) != len(weights):
         raise ParameterError("one weight per model required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-6:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-6):  # NaN fails too
         raise ParameterError("weights must be a simplex vector")
     if len({(m.num_classes, m.input_dim) for m in models}) > 1:
         raise ParameterError("all models must share num_classes and input dim")

@@ -248,6 +248,8 @@ class TestTrainMsfda:
         models, tgt = self._models_and_target()
         with pytest.raises(ParameterError):
             train_msfda(models, [0.6, 0.6], tgt.unlabeled(), AdaptationConfig(iterations=1))
+        with pytest.raises(ParameterError):  # refused before the first step
+            train_msfda(models, [np.nan, np.nan], tgt.unlabeled(), AdaptationConfig(iterations=1))
 
     def test_deterministic(self):
         models, tgt = self._models_and_target()

@@ -79,15 +79,11 @@ class TestConvergenceDetector:
 class TestScenarioSpec:
     def test_rejects_unknown_paradigm(self):
         with pytest.raises(ParameterError):
-            ScenarioSpec("x", "dann", {"a": MoonsRecipe()}, MoonsRecipe(), [0])
-
-    def test_rejects_empty_seeds(self):
-        with pytest.raises(ParameterError):
-            ScenarioSpec("x", "sfda", {"a": MoonsRecipe()}, MoonsRecipe(), [])
+            ScenarioSpec("x", "dann", MoonsRecipe())
 
     def test_expanded_requires_visible_domains(self):
         with pytest.raises(ParameterError):
-            ScenarioSpec("x", "expanded-base", {"a": MoonsRecipe()}, MoonsRecipe(), [0])
+            ScenarioSpec("x", "expanded-base", MoonsRecipe())
 
     def test_adversarial_recipe_flips_two_moons_labels(self):
         plain = MoonsRecipe(n=50).build(3, "d")
@@ -96,15 +92,17 @@ class TestScenarioSpec:
         assert adv.domain_id == "d"
 
 
+TINY = AdaptationConfig(iterations=5, learning_rate=0.01)
+
+
 class TestRunScenario:
     def test_source_only_smoke_and_summary_fields(self):
-        spec = ScenarioSpec(
-            "tiny", "source-only", {"a": MoonsRecipe(n=80)},
-            MoonsRecipe(n=80, rotation=20.0), [0, 1],
-        )
-        records = run_scenario(spec)
+        spec = ScenarioSpec("tiny", "source-only", MoonsRecipe(n=80, rotation=20.0))
+        (records,) = run_scenario({"a": MoonsRecipe(n=80)}, [spec], [0, 1])
         assert len(records) == 2
         for rec, seed in zip(records, [0, 1]):
+            assert rec.run_id == f"tiny-source-only-s{seed}"
+            assert rec.scenario == "tiny"
             assert rec.summary["paradigm"] == "source-only"
             assert rec.summary["seed"] == seed
             assert "iterations_to_convergence" in rec.summary
@@ -120,43 +118,43 @@ class TestRunScenario:
             return train_source(ds, cfg, *args, **kwargs)
 
         monkeypatch.setattr(bench, "train_source", counting)
-        spec = ScenarioSpec(
-            "tiny", "source-only", {"a": MoonsRecipe(n=60)}, MoonsRecipe(n=60), [3, 1],
-        )
-        run_scenario(spec)
+        spec = ScenarioSpec("tiny", "source-only", MoonsRecipe(n=60))
+        (records,) = run_scenario({"a": MoonsRecipe(n=60)}, [spec], [3, 1])
         assert calls == [(threading.get_ident(), 300), (threading.get_ident(), 100)]
+        assert [r.summary["seed"] for r in records] == [3, 1]
 
     def test_deterministic_across_calls(self):
-        spec = ScenarioSpec(
-            "tiny", "sfda", {"a": MoonsRecipe(n=80)},
-            MoonsRecipe(n=80, rotation=20.0), [0],
-        )
-        a = run_scenario(spec)[0]
-        b = run_scenario(spec)[0]
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=80, rotation=20.0))
+        sources = {"a": MoonsRecipe(n=80)}
+        a = run_scenario(sources, [spec], [0])[0][0]
+        b = run_scenario(sources, [spec], [0])[0][0]
         assert [r.loss_total for r in a.rows] == [r.loss_total for r in b.rows]
         assert a.final_accuracy() == b.final_accuracy()
 
+    def test_rejects_empty_seeds(self):
+        spec = ScenarioSpec("x", "sfda", MoonsRecipe())
+        with pytest.raises(ParameterError, match="need at least one seed"):
+            run_scenario({"a": MoonsRecipe()}, [spec], [])
 
-def _params(model):
-    layers = [*model.extractor, model.classifier]
-    return np.concatenate([p.ravel() for layer in layers for p in (layer.weight, layer.bias)])
+    def test_errors_name_the_scenario_and_seed(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ParameterError("boom")
+
+        monkeypatch.setattr(bench, "train_sfda", failing)
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60))
+        with pytest.raises(ParameterError, match=r"^scenario 'tiny' \(paradigm sfda, seed 4\): boom$"):
+            run_scenario({"a": MoonsRecipe(n=60)}, [spec], [4])
 
 
 def _deterministic_part(record):
-    return [row.csv().rsplit(",", 1)[0] for row in record.rows], record.summary
+    return [row.csv().rsplit(",", 1)[0] for row in record.rows], record.run_id, record.summary
 
 
-class TestSourceMemo:
-    def test_shared_memo_trains_each_source_once_and_changes_nothing(self, monkeypatch):
-        common = dict(
-            sources={"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation=15.0)},
-            target=MoonsRecipe(n=60, rotation=20.0), seeds=[0, 1],
-            config=AdaptationConfig(iterations=5, learning_rate=0.01),
-        )
-        only = ScenarioSpec("tiny", "source-only", **common)
-        msfda = ScenarioSpec("tiny", "msfda-uniform", **common)
-        unshared = [run_scenario(only), run_scenario(msfda)]
+SOURCES = {"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation=15.0)}
 
+
+class TestSourceModels:
+    def test_each_source_is_trained_once_per_seed(self, monkeypatch):
         calls = []
         train_source = bench.train_source
 
@@ -165,27 +163,34 @@ class TestSourceMemo:
             return train_source(ds, cfg, *args, **kwargs)
 
         monkeypatch.setattr(bench, "train_source", counting)
-        memo = {}
-        shared = [run_scenario(only, memo)]
-        before = {key: _params(model) for key, model in memo.items()}
-        shared.append(run_scenario(msfda, memo))
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", paradigm, target, TINY)
+            for paradigm in ("source-only", "uda", "msfda-uniform")
+        ]
+        run_scenario(SOURCES, specs, [0, 1])
+        assert calls == [("a", 0), ("b", 1), ("a", 100), ("b", 101)]
 
-        assert sorted(calls) == [("a", 0), ("a", 100), ("b", 1), ("b", 101)]
-        assert len(memo) == 4
-        for runs, reference in zip(shared, unshared):
+    def test_specs_share_models_and_match_runs_alone(self):
+        # the adapting spec runs first: had it adapted the shared models in
+        # place, source-only would then score the adapted ones
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", "msfda-uniform", target, TINY),
+            ScenarioSpec("tiny", "source-only", target, TINY),
+        ]
+        together = run_scenario(SOURCES, specs, [0, 1])
+        for spec, runs in zip(specs, together):
+            (alone,) = run_scenario(SOURCES, [spec], [0, 1])
             assert [_deterministic_part(r) for r in runs] == [
-                _deterministic_part(r) for r in reference
+                _deterministic_part(r) for r in alone
             ]
-        for key, model in memo.items():
-            assert np.array_equal(_params(model), before[key]), key
 
     def test_uda_trains_no_source_model(self, monkeypatch):
         monkeypatch.setattr(bench, "train_source", None)  # any call would fail
-        spec = ScenarioSpec(
-            "tiny", "uda", {"a": MoonsRecipe(n=60)}, MoonsRecipe(n=60, rotation=20.0), [0],
-            config=AdaptationConfig(iterations=5, learning_rate=0.01),
-        )
-        assert run_scenario(spec)[0].summary["paradigm"] == "uda"
+        spec = ScenarioSpec("tiny", "uda", MoonsRecipe(n=60, rotation=20.0), TINY)
+        (records,) = run_scenario({"a": MoonsRecipe(n=60)}, [spec], [0])
+        assert records[0].summary["paradigm"] == "uda"
 
 
 class TestSharedData:
@@ -198,14 +203,12 @@ class TestSharedData:
             return estimate(models, datasets, *args, **kwargs)
 
         monkeypatch.setattr(bench.mea, "estimate", counting)
-        sources = {d: MoonsRecipe(n=60, rotation=r) for d, r in (("a", 5.0), ("b", 15.0))}
-        memo = {}
-        for shared in (("a",), None):
-            spec = ScenarioSpec(
-                "tiny", "msfda-mea", sources, MoonsRecipe(n=60, rotation=20.0), [0],
-                config=AdaptationConfig(iterations=5, learning_rate=0.01), shared=shared,
-            )
-            run_scenario(spec, memo)
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", "msfda-mea", target, TINY, shared=shared)
+            for shared in (("a",), None)
+        ]
+        run_scenario(SOURCES, specs, [0])
         assert received == [[("a", "a")], [("a", "a"), ("b", "b")]]
 
 

@@ -276,7 +276,8 @@ class TestExitCodes:
         "config-duplicate-key", "domain-space", "domain-comma", "domain-equals",
         "domain-non-ascii", "visible-bad-id", "dataset-bare-token", "dataset-repeated-key",
         "model-bare-token", "weights-repeated-line", "weights-unknown-line",
-        "weights-fallback-word", "train-zero-iterations",
+        "weights-fallback-word", "train-zero-iterations", "blobs-nan-priors",
+        "moons-nan-noise", "blobs-inf-separation",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -348,6 +349,12 @@ class TestExitCodes:
             "config-negative-seed": ((*train, "--config", str(cfg)), "got -1"),
             "blobs-priors": (("gen", "blobs", "--priors", "0.5,x", "--out", str(bad)),
                              "'0.5,x'"),
+            "blobs-nan-priors": (("gen", "blobs", "--priors", "nan,nan", "--out", str(bad)),
+                                 "priors must be"),
+            "moons-nan-noise": (("gen", "two-moons", "--noise", "nan", "--out", str(bad)),
+                                "got nan"),
+            "blobs-inf-separation": (("gen", "blobs", "--separation", "inf", "--out", str(bad)),
+                                     "got inf"),
             "config-duplicate-key": ((*train, "--config", str(cfg)),
                                      "3: key 'iterations' given twice in [adapt], first on line 2"),
             "domain-space": (("gen", "two-moons", "--domain", "a b", "--out", str(bad)), "'a b'"),

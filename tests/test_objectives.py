@@ -480,3 +480,5 @@ class TestEnsemble:
             ensemble_weights(models, [0.5, 0.6])
         with pytest.raises(ParameterError):
             ensemble_weights(models, [-0.1, 1.1])
+        with pytest.raises(ParameterError):  # NaN fails every comparison
+            ensemble_weights(models, [np.nan, np.nan])
