@@ -25,7 +25,7 @@ from .nn import (
     stack_models,
 )
 from .objectives import cross_entropy, ensemble_weights, im_loss, mix_probs, mmd_rbf, mmd_rbf_grad
-from .records import ExperimentRecord, TrajectoryRow
+from .records import TrajectoryRow
 
 EVAL_INTERVAL = 10
 
@@ -59,7 +59,7 @@ class AdaptationConfig:
 class TrainerOutput:
     models: list
     weights: np.ndarray
-    record: ExperimentRecord
+    rows: list  # one TrajectoryRow per step
 
     @property
     def model(self) -> SourceModel:
@@ -83,15 +83,17 @@ def _ensemble_accuracy(net: SourceModel, weights, eval_set: Dataset) -> float:
     return float(np.mean(probs.argmax(axis=1) == eval_set.labels))
 
 
-def _drive(run_id, scenario, net, weights, cfg, eval_set, step) -> ExperimentRecord:
-    """Run `cfg.iterations` steps and log one trajectory row per step.
+def _drive(net, weights, cfg, eval_set, step) -> list:
+    """Run `cfg.iterations` steps and return one trajectory row per step.
 
     `step(i, evaluating)` updates the stack `net` and returns the row's loss
     fields; `evaluating` marks the steps whose row also gets the accuracy on
     `eval_set` of net's members mixed by `weights`. The batch tapes are
     locals of the step, so they are freed before that full-dataset pass.
     """
-    record = ExperimentRecord(run_id=run_id, scenario=scenario)
+    if eval_set is not None and eval_set.labels is None:
+        raise ParameterError(f"eval set {eval_set.domain_id!r} has no labels to score accuracy on")
+    rows = []
     clock = time.perf_counter
     t0 = clock()
     for i in range(cfg.iterations):
@@ -100,12 +102,11 @@ def _drive(run_id, scenario, net, weights, cfg, eval_set, step) -> ExperimentRec
         if eval_set is not None and evaluating:
             row.acc_target = _ensemble_accuracy(net, weights, eval_set)
         row.ms = (clock() - t0) * 1e3
-        record.rows.append(row)
-    record.summary = {"final_accuracy": record.final_accuracy(), "iterations": cfg.iterations}
-    return record
+        rows.append(row)
+    return rows
 
 
-def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> TrainerOutput:
+def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     """Source cross-entropy from a fresh seeded model, plus `lambda_uda` times
     the MMD between source and target batch features when there is a target.
 
@@ -113,7 +114,7 @@ def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> Traine
     supervised step, so UDA at lambda 0 is source training bit for bit.
     """
     if source.labels is None:
-        raise ParameterError(f"train_{scenario} requires a labeled source dataset")
+        raise ParameterError(f"source dataset {source.domain_id!r} must be labeled")
     model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
     net, (model,) = stack_models([model])  # the model is the one member of net, which _drive evaluates
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
@@ -143,13 +144,12 @@ def _train_supervised(source, target, cfg, eval_set, run_id, scenario) -> Traine
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
-    return TrainerOutput([model], weights, _drive(run_id, scenario, net, weights, cfg, eval_set, step))
+    return TrainerOutput([model], weights, _drive(net, weights, cfg, eval_set, step))
 
 
 def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:
     """Supervised cross-entropy training from a fresh seeded model: UDA without a target."""
-    run_id = f"source-{ds.domain_id}-s{cfg.seed}"
-    return _train_supervised(ds, None, cfg, eval_set, run_id, "source")
+    return _train_supervised(ds, None, cfg, eval_set)
 
 
 def train_uda(
@@ -161,8 +161,7 @@ def train_uda(
     """Joint source cross-entropy plus MMD feature alignment to the target."""
     if source.d != target.d:
         raise ParameterError("source and target dimensions differ")
-    run_id = f"uda-{source.domain_id}->{target.domain_id}-s{cfg.seed}"
-    return _train_supervised(source, target, cfg, eval_set, run_id, "uda")
+    return _train_supervised(source, target, cfg, eval_set)
 
 
 def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -210,7 +209,6 @@ def _adapt_loop(
     eval_set: Dataset | None,
     visible_sources: list | None = None,
     mode: str | None = None,
-    scenario: str = "sfda",
 ) -> TrainerOutput:
     """Adapt the models with a non-zero weight as one stack, `net`, one forward and
     backward per batch; the zero-weight models stay out of it, untouched."""
@@ -277,8 +275,7 @@ def _adapt_loop(
             "loss_im": im,
         }
 
-    run_id = f"{scenario}->{target.domain_id}-s{cfg.seed}"
-    return TrainerOutput(models, weights, _drive(run_id, scenario, net, wa, cfg, eval_set, step))
+    return TrainerOutput(models, weights, _drive(net, wa, cfg, eval_set, step))
 
 
 def train_sfda(
@@ -294,7 +291,7 @@ def train_sfda(
     """
     if source_model.input_dim != target.d:
         raise ParameterError("model input dim does not match target dimension")
-    return _adapt_loop([source_model], [1.0], target, cfg, eval_set, scenario="sfda")
+    return _adapt_loop([source_model], [1.0], target, cfg, eval_set)
 
 
 def train_msfda(
@@ -307,7 +304,7 @@ def train_msfda(
     """Weighted multi-source-free adaptation with fixed ensemble weights."""
     if not models:
         raise ParameterError("need at least one source model")
-    return _adapt_loop(models, weights, target, cfg, eval_set, scenario="msfda")
+    return _adapt_loop(models, weights, target, cfg, eval_set)
 
 
 def train_expanded_base(
@@ -329,6 +326,4 @@ def train_expanded_base(
             raise ParameterError(f"visible source {vs.domain_id!r} must be labeled")
         if vs.d != target.d:
             raise ParameterError("visible source and target dimensions differ")
-    return _adapt_loop(
-        models, weights, target, cfg, eval_set, visible_sources, mode, scenario="expanded"
-    )
+    return _adapt_loop(models, weights, target, cfg, eval_set, visible_sources, mode)

@@ -17,6 +17,7 @@ import numpy as np
 from . import mea
 from .adapt import (
     AdaptationConfig,
+    TrainerOutput,
     _ensemble_accuracy,
     train_expanded_base,
     train_msfda,
@@ -27,7 +28,7 @@ from .adapt import (
 from .datagen import Dataset, gen_two_moons, make_adversarial_source, split
 from .errors import ParameterError
 from .nn import stack_models
-from .records import ExperimentRecord, TrajectoryRow, write_trajectory
+from .records import ExperimentRecord, TrajectoryRow, accuracies, final_accuracy, write_trajectory
 
 REPORT_MAGIC = "#shiftlab-report v1"
 
@@ -41,18 +42,19 @@ DEFAULT_TOLERANCE = 0.01
 SOURCE_CONFIG = AdaptationConfig(learning_rate=0.05)
 ADAPT_CONFIG = AdaptationConfig(learning_rate=0.01)
 
+MOONS_NOISE = 0.1
+
 
 @dataclass(frozen=True)
 class MoonsRecipe:
     """Generator recipe for one two-moons domain."""
 
     n: int = 400
-    noise: float = 0.1
     rotation: float = 0.0
     adversarial: bool = False
 
     def build(self, seed: int, domain_id: str) -> Dataset:
-        ds = gen_two_moons(self.n, self.noise, self.rotation, seed=seed, domain_id=domain_id)
+        ds = gen_two_moons(self.n, MOONS_NOISE, self.rotation, seed=seed, domain_id=domain_id)
         if self.adversarial:
             ds = make_adversarial_source(ds, seed=seed)
         return ds
@@ -81,14 +83,6 @@ def _data_seeds(seed: int, n_sources: int):
     return [seed * 1000 + j + 1 for j in range(n_sources)], seed * 1000 + 997
 
 
-def _evaluation_record(models, weights, eval_set) -> ExperimentRecord:
-    acc = _ensemble_accuracy(stack_models(models)[0], weights, eval_set)
-    rec = ExperimentRecord(run_id="", scenario="")
-    rec.rows.append(TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc))
-    rec.summary = {"final_accuracy": acc, "iterations": 0}
-    return rec
-
-
 def run_scenario(sources: dict, specs: list, seeds) -> list:
     """Run a suite's scenarios on its sources (domain_id -> MoonsRecipe), seed by seed.
 
@@ -96,7 +90,8 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
     once, on the first spec that uses them (uda trains its own). Every spec
     of the seed shares those models, as trainers adapt clones, and builds
     its own target. Returns one list of records per spec, one record per
-    seed, in seed order. Everything runs on the calling thread.
+    seed, in seed order; each is named `<scenario>-<paradigm>-s<seed>`.
+    Everything runs on the calling thread.
     """
     if not seeds:
         raise ParameterError("need at least one seed")
@@ -119,34 +114,26 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
 
                 if spec.paradigm == "uda":  # trains its own model from the first source's data
                     first = next(iter(datasets.values()))
-                    record = train_uda(first, target, cfg, eval_set=target_eval).record
+                    out = train_uda(first, target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "source-only":
-                    record = _evaluation_record(model_list, weights, target_eval)
+                    acc = _ensemble_accuracy(stack_models(model_list)[0], weights, target_eval)
+                    row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
+                    out = TrainerOutput(model_list, weights, [row])
                 elif spec.paradigm == "sfda":
-                    record = train_sfda(model_list[0], target, cfg, eval_set=target_eval).record
+                    out = train_sfda(model_list[0], target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "msfda-uniform":
-                    record = train_msfda(model_list, weights, target, cfg, eval_set=target_eval).record
+                    out = train_msfda(model_list, weights, target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "msfda-mea":
                     shared = {d: datasets[d] for d in spec.shared or datasets}
-                    est, prov = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
-                    record = train_msfda(
-                        model_list, est.w_final, target, cfg, eval_set=target_eval
-                    ).record
-                    record.summary["weights"] = est.w_final.tolist()
-                    record.summary["provenance"] = prov
+                    est, _ = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
+                    out = train_msfda(model_list, est.w_final, target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "expanded-base":
                     visible = [datasets[d] for d in spec.expanded_visible]
-                    record = train_expanded_base(
+                    out = train_expanded_base(
                         model_list, weights, target, visible, "ce-only", cfg, eval_set=target_eval
-                    ).record
-                record.run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
-                record.scenario = spec.name
-                record.summary["paradigm"] = spec.paradigm
-                record.summary["seed"] = seed
-                conv = iterations_to_convergence(record)
-                record.summary["iterations_to_convergence"] = conv
-                record.summary["converged"] = conv is not None
-                records.append(record)
+                    )
+                run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
+                records.append(ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights))
             except Exception as exc:
                 context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
                 exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
@@ -155,7 +142,7 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
 
 
 def iterations_to_convergence(
-    record: ExperimentRecord, window: int = DEFAULT_WINDOW, tolerance: float = DEFAULT_TOLERANCE
+    rows, window: int = DEFAULT_WINDOW, tolerance: float = DEFAULT_TOLERANCE
 ):
     """Smallest logged iteration after which accuracy stays near its final value.
 
@@ -165,9 +152,9 @@ def iterations_to_convergence(
     """
     if window < 1:
         raise ParameterError("window must be >= 1")
-    accs = record.accuracies()
+    accs = accuracies(rows)
     if not accs:
-        raise ParameterError("record has no logged accuracies")
+        raise ParameterError("trajectory has no logged accuracies")
     final = accs[-1][1]
     total = len(accs)
     for idx, (iteration, _) in enumerate(accs):
@@ -211,17 +198,17 @@ def convergence_suite(seeds, out_dir=None) -> dict:
 
     per_seed = []
     for s, rs, ru in zip(seeds, sfda_records, uda_records):
-        sfda_conv = rs.summary["iterations_to_convergence"]
-        uda_conv = ru.summary["iterations_to_convergence"]
-        uda_eff = uda_conv if uda_conv is not None else ru.summary["iterations"]
+        sfda_conv = iterations_to_convergence(rs.rows)
+        uda_conv = iterations_to_convergence(ru.rows)
+        uda_eff = uda_conv if uda_conv is not None else len(ru.rows)
         ok = sfda_conv is not None and sfda_conv <= uda_eff / 2
         per_seed.append(
             {
                 "seed": s,
                 "sfda_conv": sfda_conv,
                 "uda_conv": uda_conv,
-                "sfda_final": rs.final_accuracy(),
-                "uda_final": ru.final_accuracy(),
+                "sfda_final": final_accuracy(rs.rows),
+                "uda_final": final_accuracy(ru.rows),
                 "pass": ok,
             }
         )
@@ -256,17 +243,17 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
 
     per_seed = []
     for s, ru, rm, re_ in zip(seeds, uniform, mea_runs, expanded):
-        w = rm.summary["weights"]
+        acc_uniform, acc_mea, acc_expanded = (final_accuracy(r.rows) for r in (ru, rm, re_))
         per_seed.append(
             {
                 "seed": s,
-                "acc_uniform": ru.final_accuracy(),
-                "acc_mea": rm.final_accuracy(),
-                "acc_expanded": re_.final_accuracy(),
-                "weights": w,
-                "adv_is_min_weight": int(np.argmin(w)) == adv_index,
-                "expanded_drop_ok": re_.final_accuracy() <= ru.final_accuracy() - 0.05,
-                "mea_ge_uniform": rm.final_accuracy() >= ru.final_accuracy(),
+                "acc_uniform": acc_uniform,
+                "acc_mea": acc_mea,
+                "acc_expanded": acc_expanded,
+                "weights": rm.weights.tolist(),
+                "adv_is_min_weight": int(np.argmin(rm.weights)) == adv_index,
+                "expanded_drop_ok": acc_expanded <= acc_uniform - 0.05,
+                "mea_ge_uniform": acc_mea >= acc_uniform,
             }
         )
     report = {
@@ -311,7 +298,9 @@ def overfitting_suite(seeds, out_dir=None) -> dict:
         acc_train = _ensemble_accuracy(net, out.weights, tr)
         acc_test = _ensemble_accuracy(net, out.weights, te)
         gap = abs(acc_train - acc_test)
-        records.append(out.record)
+        records.append(
+            ExperimentRecord(f"sfda->target-s{seed}", "sfda", "sfda", out.rows, out.weights)
+        )
         per_seed.append(
             {
                 "seed": seed,
@@ -350,7 +339,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
     records, accs = [], {}  # accs: (paradigm, scenario) -> list over seeds
     for spec, runs in zip(specs, run_scenario(_MIXED_SOURCES, specs, seeds)):
         records.extend(runs)
-        accs[(spec.paradigm, spec.name)] = [r.final_accuracy() for r in runs]
+        accs[(spec.paradigm, spec.name)] = [final_accuracy(r.rows) for r in runs]
 
     per_seed = []
     for i, s in enumerate(seeds):
@@ -404,14 +393,13 @@ def emit_report(records: list, out_dir, suite_summary: dict | None = None) -> li
     written = []
     for rec in records:
         path = out / f"run_{_safe_name(rec.run_id)}.csv"
-        write_trajectory(rec, path)
+        write_trajectory(rec.rows, path)
         written.append(path)
 
     # summary matrix: paradigm rows x scenario columns (mean over seeds) + average
     cells = {}
     for rec in records:
-        key = (rec.summary.get("paradigm", rec.scenario), rec.scenario)
-        cells.setdefault(key, []).append(rec.final_accuracy())
+        cells.setdefault((rec.paradigm, rec.scenario), []).append(final_accuracy(rec.rows))
     scenarios = sorted({s for _, s in cells})
     table = ["paradigm" + "".join(f"  {s:>12}" for s in scenarios) + f"  {'Avg':>12}"]
     machine = [REPORT_MAGIC, "# iterations unit: mini-batch steps"]

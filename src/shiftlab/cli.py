@@ -28,7 +28,7 @@ from .adapt import (
 from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
 from .errors import NumericError, ParameterError, ShiftLabError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
-from .records import write_trajectory
+from .records import final_accuracy, write_trajectory
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -36,6 +36,11 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 CONFIG_SECTIONS = {"adapt"}
+
+# The adapt flags (by dest) that only some paradigms read; giving one to a
+# paradigm that does not read it is a usage error.
+ADAPT_FLAGS = {"uda": {"source_data"}, "sfda": {"model"}, "msfda": {"model", "weights", "visible"},
+               "expanded": {"model", "source_data", "mode"}}
 
 
 def read_config(path) -> dict:
@@ -133,13 +138,13 @@ def cmd_train_source(args) -> int:
     out = train_source(ds, cfg, eval_set=ds)
     save_model(out.model, args.out)
     if args.trajectory:
-        write_trajectory(out.record, args.trajectory)
-    print(f"{args.out} final_train_accuracy={out.record.final_accuracy():.4f}")
+        write_trajectory(out.rows, args.trajectory)
+    print(f"{args.out} final_train_accuracy={final_accuracy(out.rows):.4f}")
     return EXIT_OK
 
 
 def _load_weights_arg(args, models, target, cfg):
-    if args.weights == "uniform":
+    if args.weights in (None, "uniform"):
         return np.full(len(models), 1.0 / len(models))
     ids = _model_ids(models)
     if args.weights == "mea":
@@ -174,27 +179,29 @@ def _parse_visible(args) -> dict:
 
 
 def cmd_adapt(args) -> int:
+    for dest in sorted(set().union(*ADAPT_FLAGS.values()) - ADAPT_FLAGS[args.paradigm]):
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            raise ParameterError(f"paradigm {args.paradigm!r} does not read {flag}")
     cfg = _cfg_from_args(args)
     target = load_dataset(args.target)
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     target_unlabeled = target.unlabeled()
 
     if args.paradigm == "uda":
-        if not args.source_data:
-            raise ParameterError("paradigm 'uda' requires --source-data")
+        if len(args.source_data or []) != 1:
+            raise ParameterError("paradigm 'uda' requires exactly one --source-data")
         out = train_uda(load_dataset(args.source_data[0]), target_unlabeled, cfg, eval_set=eval_set)
     elif args.paradigm == "sfda":
-        if args.source_data:
-            raise ParameterError("source-free paradigm accepts no source data")
         if len(args.model or []) != 1:
             raise ParameterError("paradigm 'sfda' requires exactly one --model")
         out = train_sfda(load_model(args.model[0]), target_unlabeled, cfg, eval_set=eval_set)
     elif args.paradigm == "msfda":
-        if args.source_data:
-            raise ParameterError("source-free paradigm accepts no source data")
         models = [load_model(p) for p in args.model or []]
         if not models:
             raise ParameterError("paradigm 'msfda' requires at least one --model")
+        if args.visible and args.weights != "mea":
+            raise ParameterError("--visible is read only with --weights mea")
         weights = _load_weights_arg(args, models, target_unlabeled, cfg)
         out = train_msfda(models, weights, target_unlabeled, cfg, eval_set=eval_set)
     else:  # expanded
@@ -205,9 +212,8 @@ def cmd_adapt(args) -> int:
             raise ParameterError("paradigm 'expanded' requires --source-data")
         visible = [load_dataset(p) for p in args.source_data]
         weights = np.full(len(models), 1.0 / len(models))
-        out = train_expanded_base(
-            models, weights, target_unlabeled, visible, args.mode, cfg, eval_set=eval_set
-        )
+        out = train_expanded_base(models, weights, target_unlabeled, visible,
+                                  args.mode or "ce-only", cfg, eval_set=eval_set)
 
     if args.out:
         if len(out.models) == 1:
@@ -217,8 +223,8 @@ def cmd_adapt(args) -> int:
             for i, model in enumerate(out.models):
                 save_model(model, stem.with_name(f"{stem.stem}-{i}{stem.suffix}"))
     if args.trajectory:
-        write_trajectory(out.record, args.trajectory)
-    final = out.record.final_accuracy()
+        write_trajectory(out.rows, args.trajectory)
+    final = final_accuracy(out.rows)
     print(f"paradigm={args.paradigm} iterations={cfg.iterations}"
           + (f" final_accuracy={final:.4f}" if final is not None else ""))
     return EXIT_OK
@@ -351,11 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="append", help="source model file (repeatable)")
     p.add_argument("--source-data", dest="source_data", action="append",
                    help="labeled source dataset (uda/expanded only)")
-    p.add_argument("--weights", default="uniform",
-                   help="msfda weights: uniform | mea | <weights file>")
+    p.add_argument("--weights", help="msfda weights: uniform (default) | mea | <weights file>")
     p.add_argument("--visible", action="append",
-                   help="domain=path of data-visible source (for --weights mea)")
-    p.add_argument("--mode", default="ce-only", choices=EXPANDED_MODES)
+                   help="domain=path of data-visible source (msfda --weights mea only)")
+    p.add_argument("--mode", choices=EXPANDED_MODES, help="expanded only; default ce-only")
     p.add_argument("--eval-data", dest="eval_data", help="labeled copy for accuracy logging")
     p.add_argument("--out", help="adapted model output path")
     p.add_argument("--trajectory")

@@ -1,9 +1,11 @@
-"""Per-run trajectory records shared by the trainers and the bench harness."""
+"""Trajectory rows, which the trainers log, and the run records the bench harness names."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 CSV_HEADER = "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,ms"
 
@@ -33,23 +35,28 @@ class TrajectoryRow:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentRecord:
+    """One harness run: its name, what ran where, its trajectory and its ensemble weights."""
+
     run_id: str
+    paradigm: str
     scenario: str
-    rows: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-    def accuracies(self) -> list:
-        """(iteration, accuracy) pairs for rows where accuracy was evaluated."""
-        return [(r.iteration, r.acc_target) for r in self.rows if r.acc_target is not None]
-
-    def final_accuracy(self) -> float | None:
-        accs = self.accuracies()
-        return accs[-1][1] if accs else None
+    rows: list
+    weights: np.ndarray
 
 
-def write_trajectory(record: ExperimentRecord, path) -> None:
-    """Write a record's rows as a trajectory CSV under CSV_HEADER."""
-    lines = [CSV_HEADER] + [row.csv() for row in record.rows]
+def accuracies(rows) -> list:
+    """(iteration, accuracy) pairs for rows where accuracy was evaluated."""
+    return [(r.iteration, r.acc_target) for r in rows if r.acc_target is not None]
+
+
+def final_accuracy(rows) -> float | None:
+    accs = accuracies(rows)
+    return accs[-1][1] if accs else None
+
+
+def write_trajectory(rows, path) -> None:
+    """Write trajectory rows as a CSV under CSV_HEADER."""
+    lines = [CSV_HEADER] + [row.csv() for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

@@ -211,7 +211,7 @@ class TestCriterion4Degenerations:
         uda = train_uda(src, tgt, cfg)
         plain = train_source(src, cfg)
         step_diff = max(
-            abs(a.loss_total - b.loss_total) for a, b in zip(uda.record.rows, plain.record.rows)
+            abs(a.loss_total - b.loss_total) for a, b in zip(uda.rows, plain.rows)
         )
         param_diff = max(
             float(np.max(np.abs(la.weight - lb.weight)))
@@ -230,7 +230,7 @@ class TestCriterion4Degenerations:
         ens = train_msfda(models, [1.0, 0.0], tgt, cfg2)
         solo = train_sfda(models[0], tgt, cfg2)
         step_diff2 = max(
-            abs(a.loss_total - b.loss_total) for a, b in zip(ens.record.rows, solo.record.rows)
+            abs(a.loss_total - b.loss_total) for a, b in zip(ens.rows, solo.rows)
         )
         param_diff2 = max(
             float(np.max(np.abs(la.weight - lb.weight)))

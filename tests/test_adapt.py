@@ -101,9 +101,9 @@ class TestTrainSource:
 
     def test_loss_decreases(self):
         ds = moons(seed=2)
-        rec = train_source(ds, AdaptationConfig(iterations=200, seed=2)).record
-        first = np.mean([r.loss_total for r in rec.rows[:10]])
-        last = np.mean([r.loss_total for r in rec.rows[-10:]])
+        rows = train_source(ds, AdaptationConfig(iterations=200, seed=2)).rows
+        first = np.mean([r.loss_total for r in rows[:10]])
+        last = np.mean([r.loss_total for r in rows[-10:]])
         assert last < first
 
     def test_rejects_unlabeled(self):
@@ -121,11 +121,19 @@ class TestTrainSource:
             (tgt, [i for i in range(35) if i % EVAL_INTERVAL == 0 or i == 34]),
             (None, []),
         ]:
-            record = TRAINERS[trainer](src, tgt.unlabeled(), models, cfg, eval_set).record
-            assert [r.iteration for r in record.rows] == list(range(35))
-            logged = [r.iteration for r in record.rows if r.acc_target is not None]
+            rows = TRAINERS[trainer](src, tgt.unlabeled(), models, cfg, eval_set).rows
+            assert [r.iteration for r in rows] == list(range(35))
+            logged = [r.iteration for r in rows if r.acc_target is not None]
             assert logged == expected
-            assert set(record.summary) == {"final_accuracy", "iterations"}
+
+    # accuracy needs labels: an unlabeled eval set is refused before any step
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_rejects_unlabeled_eval_set(self, trainer):
+        src = moons(seed=4)
+        tgt = moons(rotation=20.0, seed=5, domain_id="tgt").unlabeled()
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(2)]
+        with pytest.raises(ParameterError, match="eval set 'tgt' has no labels"):
+            TRAINERS[trainer](src, tgt, models, AdaptationConfig(iterations=3), tgt)
 
 
 class TestTrainUda:
@@ -288,10 +296,10 @@ class TestExpandedBase:
         tgt = moons(rotation=20.0, seed=41, domain_id="t")
         out = train_expanded_base([model], [1.0], tgt.unlabeled(), [src], mode,
                                   AdaptationConfig(iterations=30, seed=6), eval_set=tgt)
-        assert len(out.record.rows) == 30
-        assert all(r.loss_ce > 0 or r.iteration == 0 for r in out.record.rows)
+        assert len(out.rows) == 30
+        assert all(r.loss_ce > 0 or r.iteration == 0 for r in out.rows)
         if mode == "ce+mmd":
-            assert any(r.loss_mmd != 0.0 for r in out.record.rows)
+            assert any(r.loss_mmd != 0.0 for r in out.rows)
 
     def _count_stacked_calls(self, monkeypatch, name, iterations):
         """Train ce+mmd with weights [0.5, 0.5, 0.0]; return the models and the

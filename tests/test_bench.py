@@ -14,66 +14,60 @@ from shiftlab.bench import (
     run_scenario,
 )
 from shiftlab.errors import ParameterError
-from shiftlab.records import CSV_HEADER, ExperimentRecord, TrajectoryRow
+from shiftlab.records import CSV_HEADER, ExperimentRecord, TrajectoryRow, final_accuracy
 
 
-def make_record(accs, every=10, run_id="r", scenario="s"):
-    rec = ExperimentRecord(run_id=run_id, scenario=scenario)
-    for j, a in enumerate(accs):
-        rec.rows.append(TrajectoryRow(iteration=j * every, loss_total=0.5, acc_target=a))
-    rec.summary = {"final_accuracy": rec.final_accuracy(), "paradigm": scenario}
-    return rec
+def make_rows(accs, every=10):
+    return [TrajectoryRow(iteration=j * every, loss_total=0.5, acc_target=a)
+            for j, a in enumerate(accs)]
 
 
 class TestConvergenceDetector:
     def test_constant_trajectory_converges_immediately(self):
-        rec = make_record([0.8] * 100)
-        assert iterations_to_convergence(rec) == 0
+        rows = make_rows([0.8] * 100)
+        assert iterations_to_convergence(rows) == 0
 
     def test_step_trajectory_converges_at_the_step(self):
         accs = [0.5] * 37 + [0.9] * 80
-        rec = make_record(accs)
-        assert iterations_to_convergence(rec) == 37 * 10
+        rows = make_rows(accs)
+        assert iterations_to_convergence(rows) == 37 * 10
 
     def test_oscillating_trajectory_never_converges(self):
         accs = [0.9 if j % 2 else 0.5 for j in range(120)]
-        rec = make_record(accs)
-        assert iterations_to_convergence(rec) is None
+        rows = make_rows(accs)
+        assert iterations_to_convergence(rows) is None
 
     def test_short_trajectory_falls_back_to_end_stability(self):
         # fewer evaluations than the window: stability to the end suffices
-        rec = make_record([0.2, 0.8, 0.8, 0.8])
-        assert iterations_to_convergence(rec, window=50) == 10
+        rows = make_rows([0.2, 0.8, 0.8, 0.8])
+        assert iterations_to_convergence(rows, window=50) == 10
 
     def test_window_counts_logged_evaluations(self):
         # a dip at eval 60 poisons every full 100-eval window but is invisible
         # to a 5-eval window starting at 0
         accs = [0.8] * 60 + [0.2] + [0.8] * 60
-        rec = make_record(accs)
-        assert iterations_to_convergence(rec, window=100) is None
-        assert iterations_to_convergence(rec, window=5) == 0
+        rows = make_rows(accs)
+        assert iterations_to_convergence(rows, window=100) is None
+        assert iterations_to_convergence(rows, window=5) == 0
         # an early dip inside the window delays convergence past it
-        early = make_record([0.8, 0.2] + [0.8] * 60)
+        early = make_rows([0.8, 0.2] + [0.8] * 60)
         assert iterations_to_convergence(early, window=5) == 20
 
     def test_monotone_in_tolerance(self):
         rng = np.random.default_rng(0)
         accs = list(0.8 + 0.003 * rng.standard_normal(80))
-        rec = make_record(accs)
-        loose = iterations_to_convergence(rec, tolerance=0.05)
-        tight = iterations_to_convergence(rec, tolerance=0.002)
+        rows = make_rows(accs)
+        loose = iterations_to_convergence(rows, tolerance=0.05)
+        tight = iterations_to_convergence(rows, tolerance=0.002)
         assert loose is not None
         if tight is not None:
             assert loose <= tight
 
     def test_rejects_bad_window_and_empty_record(self):
-        rec = make_record([0.5] * 10)
         with pytest.raises(ParameterError):
-            iterations_to_convergence(rec, window=0)
-        empty = ExperimentRecord(run_id="x", scenario="s")
-        empty.rows.append(TrajectoryRow(iteration=0, loss_total=1.0))
+            iterations_to_convergence(make_rows([0.5] * 10), window=0)
         with pytest.raises(ParameterError):
-            iterations_to_convergence(empty)
+            iterations_to_convergence([TrajectoryRow(iteration=0, loss_total=1.0)])
 
 
 class TestScenarioSpec:
@@ -96,17 +90,40 @@ TINY = AdaptationConfig(iterations=5, learning_rate=0.01)
 
 
 class TestRunScenario:
-    def test_source_only_smoke_and_summary_fields(self):
+    def test_source_only_smoke_and_record_fields(self):
         spec = ScenarioSpec("tiny", "source-only", MoonsRecipe(n=80, rotation=20.0))
         (records,) = run_scenario({"a": MoonsRecipe(n=80)}, [spec], [0, 1])
         assert len(records) == 2
         for rec, seed in zip(records, [0, 1]):
             assert rec.run_id == f"tiny-source-only-s{seed}"
-            assert rec.scenario == "tiny"
-            assert rec.summary["paradigm"] == "source-only"
-            assert rec.summary["seed"] == seed
-            assert "iterations_to_convergence" in rec.summary
-            assert 0.0 <= rec.final_accuracy() <= 1.0
+            assert (rec.paradigm, rec.scenario) == ("source-only", "tiny")
+            assert [r.iteration for r in rec.rows] == [0]
+            assert iterations_to_convergence(rec.rows) == 0
+            assert 0.0 <= final_accuracy(rec.rows) <= 1.0
+
+    def test_records_are_named_once_and_carry_their_weights(self, monkeypatch):
+        estimates = []
+        estimate = bench.mea.estimate
+
+        def spying(*args, **kwargs):
+            result = estimate(*args, **kwargs)
+            estimates.append(result[0].w_final.tolist())
+            return result
+
+        monkeypatch.setattr(bench.mea, "estimate", spying)
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", paradigm, target, TINY, expanded_visible=["b"])
+            for paradigm in bench.PARADIGMS
+        ]
+        runs = run_scenario(SOURCES, specs, [2])
+        (mea_weights,) = estimates
+        assert mea_weights != [0.5, 0.5]
+        weights = {"uda": [1.0], "sfda": [1.0], "msfda-mea": mea_weights}
+        for spec, (rec,) in zip(specs, runs):
+            assert rec.run_id == f"tiny-{spec.paradigm}-s2"
+            assert (rec.paradigm, rec.scenario) == (spec.paradigm, "tiny")
+            assert rec.weights.tolist() == weights.get(spec.paradigm, [0.5, 0.5])
 
     def test_seeds_run_in_order_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv("SHIFTLAB_THREADS", "5")  # once selected a thread pool
@@ -121,7 +138,7 @@ class TestRunScenario:
         spec = ScenarioSpec("tiny", "source-only", MoonsRecipe(n=60))
         (records,) = run_scenario({"a": MoonsRecipe(n=60)}, [spec], [3, 1])
         assert calls == [(threading.get_ident(), 300), (threading.get_ident(), 100)]
-        assert [r.summary["seed"] for r in records] == [3, 1]
+        assert [r.run_id for r in records] == ["tiny-source-only-s3", "tiny-source-only-s1"]
 
     def test_deterministic_across_calls(self):
         spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=80, rotation=20.0))
@@ -129,7 +146,7 @@ class TestRunScenario:
         a = run_scenario(sources, [spec], [0])[0][0]
         b = run_scenario(sources, [spec], [0])[0][0]
         assert [r.loss_total for r in a.rows] == [r.loss_total for r in b.rows]
-        assert a.final_accuracy() == b.final_accuracy()
+        assert final_accuracy(a.rows) == final_accuracy(b.rows)
 
     def test_rejects_empty_seeds(self):
         spec = ScenarioSpec("x", "sfda", MoonsRecipe())
@@ -147,7 +164,8 @@ class TestRunScenario:
 
 
 def _deterministic_part(record):
-    return [row.csv().rsplit(",", 1)[0] for row in record.rows], record.run_id, record.summary
+    rows = [row.csv().rsplit(",", 1)[0] for row in record.rows]
+    return rows, record.run_id, record.paradigm, record.scenario, record.weights.tolist()
 
 
 SOURCES = {"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation=15.0)}
@@ -190,7 +208,7 @@ class TestSourceModels:
         monkeypatch.setattr(bench, "train_source", None)  # any call would fail
         spec = ScenarioSpec("tiny", "uda", MoonsRecipe(n=60, rotation=20.0), TINY)
         (records,) = run_scenario({"a": MoonsRecipe(n=60)}, [spec], [0])
-        assert records[0].summary["paradigm"] == "uda"
+        assert records[0].paradigm == "uda"
 
 
 class TestSharedData:
@@ -217,12 +235,20 @@ class TestSuiteGuards:
         with pytest.raises(ParameterError, match="need at least one seed"):
             overfitting_suite([])
 
+    def test_overfitting_names_its_runs_sfda(self, tmp_path):
+        overfitting_suite([0], tmp_path)
+        assert (tmp_path / "run_sfda-_target-s0.csv").exists()
+        lines = (tmp_path / "summary.report").read_text().splitlines()
+        cells = [l for l in lines if l.startswith("cell ")]
+        assert len(cells) == 1
+        assert cells[0].startswith("cell paradigm=sfda scenario=sfda accuracy=")
+
 
 class TestEmitReport:
     def _records(self, ms_offset=0.0):
-        r1 = make_record([0.5, 0.7, 0.8], run_id="a-s0", scenario="sc1")
-        r2 = make_record([0.6, 0.6, 0.9], run_id="b-s0", scenario="sc1")
-        r2.summary["paradigm"] = "other"
+        w = np.array([1.0])
+        r1 = ExperimentRecord("a-s0", "sc1", "sc1", make_rows([0.5, 0.7, 0.8]), w)
+        r2 = ExperimentRecord("b-s0", "other", "sc1", make_rows([0.6, 0.6, 0.9]), w)
         for rec in (r1, r2):
             for row in rec.rows:
                 row.ms += ms_offset

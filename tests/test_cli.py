@@ -113,7 +113,7 @@ class TestAdapt:
         code = run("adapt", "--paradigm", "sfda", "--target", str(target_file),
                    "--model", str(model_file), "--source-data", str(moons_file))
         assert code == 2
-        assert "source-free paradigm accepts no source data" in capsys.readouterr().err
+        assert "paradigm 'sfda' does not read --source-data" in capsys.readouterr().err
 
     def test_msfda_rejects_source_data(self, tmp_path, model_file, target_file, moons_file):
         assert run("adapt", "--paradigm", "msfda", "--target", str(target_file),
@@ -187,6 +187,21 @@ class TestAdapt:
     def test_expanded_requires_source_data(self, model_file, target_file):
         assert run("adapt", "--paradigm", "expanded", "--target", str(target_file),
                    "--model", str(model_file)) == 2
+
+    @pytest.mark.parametrize("paradigm,flag,value", [
+        ("uda", "--model", "m.model"), ("uda", "--weights", "uniform"),
+        ("uda", "--visible", "x=y.csv"), ("uda", "--mode", "ce-only"),
+        ("sfda", "--source-data", "s.csv"), ("sfda", "--weights", "uniform"),
+        ("sfda", "--visible", "x=y.csv"), ("sfda", "--mode", "ce-only"),
+        ("msfda", "--source-data", "s.csv"), ("msfda", "--mode", "ce-only"),
+        ("expanded", "--weights", "uniform"), ("expanded", "--visible", "x=y.csv"),
+    ])
+    def test_flag_the_paradigm_does_not_read_is_usage_error(self, capsys, paradigm, flag,
+                                                            value):
+        # refused before any file is read, so the paths need not exist
+        assert run("adapt", "--paradigm", paradigm, "--target", "t.csv", flag, value) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: paradigm {paradigm!r} does not read {flag}\n"
 
 
 class TestEstimate:
@@ -277,7 +292,9 @@ class TestExitCodes:
         "domain-non-ascii", "visible-bad-id", "dataset-bare-token", "dataset-repeated-key",
         "model-bare-token", "weights-repeated-line", "weights-unknown-line",
         "weights-fallback-word", "train-zero-iterations", "blobs-nan-priors",
-        "moons-nan-noise", "blobs-inf-separation",
+        "moons-nan-noise", "blobs-inf-separation", "adapt-unlabeled-eval", "uda-unread-flags",
+        "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
+        "expanded-unread-weights",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -318,6 +335,9 @@ class TestExitCodes:
         weights.write_text(weights_text(ids))
         adapt = ("adapt", "--paradigm", "msfda", "--target", str(moons_file), "--iterations", "1")
         msfda = (*adapt, "--weights", str(weights), "--model", str(model_a))
+        unlabeled = tmp_path / "unlabeled.csv"
+        save_dataset(load_dataset(moons_file).unlabeled(), unlabeled)
+        target, source = ("--target", str(moons_file)), ("--source-data", str(moons_file))
         argv, needle = {  # needle: what the one-line error must name
             "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
             "config-float": ((*train, "--config", str(cfg)), "'learning_rate': 'fast'"),
@@ -371,6 +391,26 @@ class TestExitCodes:
             "weights-repeated-line": (("verify", "weights", str(bad)), "repeats its models line"),
             "weights-unknown-line": (("verify", "weights", str(bad)), "unknown 'junk' line"),
             "weights-fallback-word": (("verify", "weights", str(bad)), "got 'maybe'"),
+            "adapt-unlabeled-eval": (("adapt", "--paradigm", "sfda", *target, "--model",
+                                      str(model_a), "--eval-data", str(unlabeled)),
+                                     "'src' has no labels"),
+            "uda-unread-flags": (("adapt", "--paradigm", "uda", *target, *source, *source,
+                                  "--weights", str(tmp_path / "missing.w"), "--mode", "ce+mmd",
+                                  "--visible", "x=y"), "paradigm 'uda' does not read --mode"),
+            "uda-two-sources": (("adapt", "--paradigm", "uda", *target, *source, *source),
+                                "exactly one --source-data"),
+            "sfda-unread-flags": (("adapt", "--paradigm", "sfda", *target, "--model",
+                                   str(model_a), "--weights", "mea", "--mode", "ce+mmd"),
+                                  "paradigm 'sfda' does not read --mode"),
+            "msfda-unread-mode": ((*adapt, "--model", str(model_a), "--mode", "ce+mmd",
+                                   "--visible", f"q={moons_file}"),
+                                  "paradigm 'msfda' does not read --mode"),
+            "msfda-visible-without-mea": ((*adapt, "--model", str(model_a),
+                                           "--visible", f"q={moons_file}"),
+                                          "--visible is read only with --weights mea"),
+            "expanded-unread-weights": (("adapt", "--paradigm", "expanded", *target, *source,
+                                         "--model", str(model_a), "--weights", "mea"),
+                                        "paradigm 'expanded' does not read --weights"),
         }[probe]
         assert run(*argv) == 2
         err = capsys.readouterr().err

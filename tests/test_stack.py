@@ -405,8 +405,8 @@ def test_trainer_matches_per_model_reference(domains, case):
         out = train_expanded_base(models, weights, unlabeled, visible, mode, CFG, eval_set=target)
     ref_models, ref_rows = ref_adapt(models, weights, unlabeled, CFG, target, visible, mode)
 
-    assert len(out.record.rows) == len(ref_rows) == CFG.iterations
-    for row, ref in zip(out.record.rows, ref_rows):
+    assert len(out.rows) == len(ref_rows) == CFG.iterations
+    for row, ref in zip(out.rows, ref_rows):
         got = {k: getattr(row, k) for k in ref}
         assert got == ref, f"step {row.iteration} differs"
     for got, ref in zip(out.models, ref_models):
