@@ -8,6 +8,9 @@ for gradients.
 
 from __future__ import annotations
 
+import contextvars
+import queue
+import threading
 import time
 from dataclasses import dataclass
 
@@ -28,6 +31,8 @@ from .objectives import cross_entropy, ensemble_weights, im_loss, mix_probs, mmd
 from .records import TrajectoryRow
 
 EVAL_INTERVAL = 10
+
+DIAGNOSTIC_BACKLOG = 2  # model snapshots that may wait for UDA's diagnostic thread
 
 EXPANDED_MODES = ("ce-only", "ce+mmd")
 
@@ -106,12 +111,34 @@ def _drive(net, weights, cfg, eval_set, step) -> list:
     return rows
 
 
+def _diagnose(snapshots, source, target, values, errors) -> None:
+    """Consume `(iteration, model)` snapshots until None, storing each one's
+    full-dataset MMD between source and target features in `values`.
+
+    After the first exception, stored in `errors`, it only drains, so the
+    producer's blocking `put` always returns.
+    """
+    while (item := snapshots.get()) is not None:
+        if errors:
+            continue
+        it, snap = item
+        try:
+            values[it] = mmd_rbf(forward(snap, source.features).features,
+                                 forward(snap, target.features).features)
+        except BaseException as exc:  # stored, as the helper must keep draining;
+            errors.append(exc)  # the trainer re-raises it on its own thread
+
+
 def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     """Source cross-entropy from a fresh seeded model, plus `lambda_uda` times
     the MMD between source and target batch features when there is a target.
 
     Without a target, or at `lambda_uda == 0`, every step is the same
     supervised step, so UDA at lambda 0 is source training bit for bit.
+    With one, each evaluating row logs the full-dataset MMD of the model as
+    that step left it, a diagnostic that feeds no gradient: one helper
+    thread, started in a copy of the caller's context (numpy's errstate
+    included), computes it from snapshots while training goes on.
     """
     if source.labels is None:
         raise ParameterError(f"source dataset {source.domain_id!r} must be labeled")
@@ -121,6 +148,7 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     src_stream = _stream(source.n, cfg, 17)
     lam = 0.0 if target is None else cfg.lambda_uda
     tgt_stream = _stream(target.n, cfg, 29) if lam > 0 else None
+    snapshots = queue.Queue(maxsize=DIAGNOSTIC_BACKLOG)
 
     def step(it, evaluating):
         idx = next(src_stream)
@@ -136,15 +164,31 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
         grad.add_(backward(model, tape_t, dfeat=lam * gy))
         sgd_step(model, grad, opt)
         if evaluating:
-            # diagnostic: full-dataset alignment, not the per-batch estimate
-            fs = forward(model, source.features).features
-            ft = forward(model, target.features).features
-            mmd_value = mmd_rbf(fs, ft)
+            snapshots.put((it, model.clone()))  # its loss_mmd comes from the helper
         return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
-    return TrainerOutput([model], weights, _drive(net, weights, cfg, eval_set, step))
+    if lam == 0:
+        return TrainerOutput([model], weights, _drive(net, weights, cfg, eval_set, step))
+    values, errors = {}, []
+    helper = threading.Thread(
+        target=contextvars.copy_context().run,
+        args=(_diagnose, snapshots, source, target, values, errors),
+    )
+    helper.start()
+    try:
+        rows = _drive(net, weights, cfg, eval_set, step)
+    finally:
+        snapshots.put(None)
+        helper.join()
+    if errors:
+        raise errors[0]
+    for row in rows:
+        if row.iteration in values:
+            row.loss_mmd = values[row.iteration]
+            row.loss_total = row.loss_ce + lam * row.loss_mmd
+    return TrainerOutput([model], weights, rows)
 
 
 def train_source(ds: Dataset, cfg: AdaptationConfig, eval_set: Dataset | None = None) -> TrainerOutput:

@@ -91,7 +91,8 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
     of the seed shares those models, as trainers adapt clones, and builds
     its own target. Returns one list of records per spec, one record per
     seed, in seed order; each is named `<scenario>-<paradigm>-s<seed>`.
-    Everything runs on the calling thread.
+    Everything runs on the calling thread, except UDA's full-dataset MMD
+    diagnostic, which `train_uda` computes on one helper thread per run.
     """
     if not seeds:
         raise ParameterError("need at least one seed")

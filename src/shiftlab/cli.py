@@ -397,8 +397,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except NumericError as exc:
+        # an overflowing or invalid float is a numeric error, not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (NumericError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     # an input path that cannot be read is a usage error too

@@ -8,6 +8,8 @@ chains that gradient through the softmax.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ParameterError
@@ -119,28 +121,30 @@ def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
     return np.maximum(g, 0.0, out=g)
 
 
-# Holds the pooled distance matrix of each MMD call. It grows to the largest
-# pooled size seen and is then reused, so steady-state calls fault in no fresh
-# pages; it also means no two MMD calls may run at once.
-_pooled_scratch = np.empty(0)
+# `_scratch.pooled` holds the pooled distance matrix of each MMD call on the
+# calling thread. It grows to the largest pooled size that thread has seen and
+# is then reused, so steady-state calls fault in no fresh pages, and MMD calls
+# on different threads never share it.
+_scratch = threading.local()
 
 
 def _mmd_blocks(X, Y, bandwidths):
     """X, Y, bandwidths and the xx, yy, xy blocks of one pooled squared-distance matrix.
 
-    The blocks are views of `_pooled_scratch`, overwritten by the next call.
+    The blocks are views of the calling thread's `_scratch.pooled`,
+    overwritten by its next call.
     """
-    global _pooled_scratch
     X, Y = (np.asarray(A, dtype=np.float64) for A in (X, Y))
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1] or not (len(X) and len(Y)):
         raise ParameterError("X and Y must be non-empty 2-D arrays with matching column count")
     if bandwidths is not None and not (len(bandwidths) and all(0 < b < np.inf for b in bandwidths)):
         raise ParameterError(f"bandwidths must be non-empty, positive and finite, got {bandwidths}")
     n, size = len(X), len(X) + len(Y)
-    if _pooled_scratch.size < size * size:
-        _pooled_scratch = np.empty(size * size)
+    scratch = getattr(_scratch, "pooled", None)
+    if scratch is None or scratch.size < size * size:
+        scratch = _scratch.pooled = np.empty(size * size)
     pooled = np.vstack([X, Y])
-    sq = _sq_dists(pooled, pooled, out=_pooled_scratch[: size * size].reshape(size, size))
+    sq = _sq_dists(pooled, pooled, out=scratch[: size * size].reshape(size, size))
     if bandwidths is None:
         bandwidths = median_bandwidths(sq)
     return X, Y, np.asarray(bandwidths, dtype=np.float64), (sq[:n, :n], sq[n:, n:], sq[:n, n:])

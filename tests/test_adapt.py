@@ -1,4 +1,7 @@
 import inspect
+import queue
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from shiftlab.adapt import (
 )
 from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
 from shiftlab.errors import ParameterError
-from shiftlab.nn import accuracy, backward, forward, init_model
+from shiftlab.nn import accuracy, backward, forward, init_model, init_optimizer, sgd_step, stack_models
+from shiftlab.objectives import cross_entropy, mmd_rbf, mmd_rbf_grad
+from shiftlab.records import TrajectoryRow
 
 
 def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
@@ -173,6 +178,146 @@ class TestTrainUda:
         blob = gen_gaussian_blobs(20, 2, 3, 4.0, [0.5, 0.5], seed=0)
         with pytest.raises(ParameterError):
             train_uda(src, blob.unlabeled(), AdaptationConfig(iterations=1))
+
+
+def reference_train_uda(source, target, cfg, eval_set=None):
+    """The earlier UDA trainer, which computed its full-dataset MMD diagnostic
+    inline on the training thread; the reference for the helper thread."""
+    model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
+    net, (model,) = stack_models([model])
+    opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
+    src_stream, tgt_stream = adapt._stream(source.n, cfg, 17), adapt._stream(target.n, cfg, 29)
+    lam = cfg.lambda_uda
+    rows = []
+    for i in range(cfg.iterations):
+        evaluating = i % EVAL_INTERVAL == 0 or i == cfg.iterations - 1
+        idx = next(src_stream)
+        tape_s = forward(model, source.features[idx])
+        ce, dce = cross_entropy(tape_s.probs, source.labels[idx])
+        tape_t = forward(model, target.features[next(tgt_stream)])
+        mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
+        grad = backward(model, tape_s, dce, lam * gx)
+        grad.add_(backward(model, tape_t, dfeat=lam * gy))
+        sgd_step(model, grad, opt)
+        if evaluating:
+            fs = forward(model, source.features).features
+            ft = forward(model, target.features).features
+            mmd_value = mmd_rbf(fs, ft)
+        row = TrajectoryRow(i, ce + lam * mmd_value, ce, mmd_value)
+        if eval_set is not None and evaluating:
+            row.acc_target = adapt._ensemble_accuracy(net, np.array([1.0]), eval_set)
+        rows.append(row)
+    return model, rows
+
+
+def uda_domains():
+    src = moons(seed=9)
+    tgt_eval = moons(rotation=25.0, seed=10, domain_id="tgt")
+    return src, tgt_eval.unlabeled(), tgt_eval
+
+
+class TestUdaDiagnosticThread:
+    """UDA's full-dataset MMD runs on one helper thread per run, off the
+    training path; rows and parameters stay those of the inline diagnostic."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("iterations", [1, 10, 25, 31])
+    def test_rows_and_parameters_equal_the_inline_diagnostic(self, iterations, lam):
+        src, tgt, tgt_eval = uda_domains()
+        cfg = AdaptationConfig(iterations=iterations, seed=4, lambda_uda=lam)
+        out = train_uda(src, tgt, cfg, tgt_eval)
+        ref_model, ref_rows = reference_train_uda(src, tgt, cfg, tgt_eval)
+        assert params_equal(out.model, ref_model)
+        assert len(out.rows) == len(ref_rows) == iterations
+        for row, ref in zip(out.rows, ref_rows):
+            row.ms = ref.ms = 0.0
+            assert row == ref
+
+    def test_diagnostic_exception_propagates_and_no_thread_survives(self, monkeypatch):
+        def failing(X, Y):
+            raise RuntimeError("diagnostic failed")
+
+        monkeypatch.setattr(adapt, "mmd_rbf", failing)
+        src, tgt, _ = uda_domains()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="diagnostic failed"):
+            train_uda(src, tgt, AdaptationConfig(iterations=31))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("k", [1, 11, 25])
+    def test_training_exception_propagates_and_no_thread_survives(self, monkeypatch, k):
+        calls = []
+
+        def failing_at_k(*args):
+            calls.append(1)
+            if len(calls) == k:
+                raise RuntimeError(f"step {k} failed")
+            return sgd_step(*args)
+
+        monkeypatch.setattr(adapt, "sgd_step", failing_at_k)
+        src, tgt, _ = uda_domains()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"step {k} failed"):
+            train_uda(src, tgt, AdaptationConfig(iterations=31))
+        assert threading.active_count() == before
+
+    def test_queue_never_holds_more_than_its_bound(self, monkeypatch):
+        # the diagnostic waits until the training thread finds the queue full,
+        # so every put after that blocks until the helper takes a snapshot
+        full = threading.Event()
+        sizes = []
+
+        class RecordingQueue(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                if self.full():
+                    full.set()
+                super().put(item, *args, **kwargs)
+                sizes.append(self.qsize())
+
+        def slow_mmd(X, Y):
+            assert full.wait(timeout=10)
+            return mmd_rbf(X, Y)
+
+        monkeypatch.setattr(queue, "Queue", RecordingQueue)
+        monkeypatch.setattr(adapt, "mmd_rbf", slow_mmd)
+        src, tgt, tgt_eval = uda_domains()
+        cfg = AdaptationConfig(iterations=51, seed=4)
+        out = train_uda(src, tgt, cfg, tgt_eval)
+        assert full.is_set() and max(sizes) <= adapt.DIAGNOSTIC_BACKLOG
+        ref_model, ref_rows = reference_train_uda(src, tgt, cfg, tgt_eval)
+        assert params_equal(out.model, ref_model)
+        assert [r.loss_mmd for r in out.rows] == [r.loss_mmd for r in ref_rows]
+
+    def test_helper_runs_in_the_callers_errstate(self, monkeypatch):
+        seen = []
+
+        def recording_mmd(X, Y):
+            seen.append((threading.get_ident(), np.geterr()))
+            return mmd_rbf(X, Y)
+
+        monkeypatch.setattr(adapt, "mmd_rbf", recording_mmd)
+        src, tgt, _ = uda_domains()
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            expected = np.geterr()
+            train_uda(src, tgt, AdaptationConfig(iterations=11))
+        assert expected != np.geterr()
+        assert [err for _, err in seen] == [expected] * 2
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+
+    @pytest.mark.parametrize("trainer", ["source", "uda-lambda-0"])
+    def test_no_diagnostic_no_thread(self, monkeypatch, trainer):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        src, tgt, _ = uda_domains()
+        cfg = AdaptationConfig(iterations=11, lambda_uda=0.0)
+        if trainer == "source":
+            train_source(src, cfg)
+        else:
+            train_uda(src, tgt, cfg)
+        assert started == []
+        train_uda(src, tgt, replace(cfg, lambda_uda=1.0))
+        assert len(started) == 1
 
 
 class TestPseudoLabels:

@@ -294,7 +294,7 @@ class TestExitCodes:
         "weights-fallback-word", "train-zero-iterations", "blobs-nan-priors",
         "moons-nan-noise", "blobs-inf-separation", "adapt-unlabeled-eval", "uda-unread-flags",
         "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
-        "expanded-unread-weights",
+        "expanded-unread-weights", "train-source-overflow",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -411,8 +411,11 @@ class TestExitCodes:
             "expanded-unread-weights": (("adapt", "--paradigm", "expanded", *target, *source,
                                          "--model", str(model_a), "--weights", "mea"),
                                         "paradigm 'expanded' does not read --weights"),
+            "train-source-overflow": ((*train, "--learning-rate", "1e308", "--iterations", "3"),
+                                      "overflow encountered"),
         }[probe]
-        assert run(*argv) == 2
+        # a float that overflows is a numeric error (exit 3), with the same one line
+        assert run(*argv) == (3 if probe == "train-source-overflow" else 2)
         err = capsys.readouterr().err
         assert needle in err
         assert err.startswith("error: ") and err.count("\n") == 1

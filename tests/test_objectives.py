@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -114,6 +116,18 @@ def assert_matches_reference(X, Y, bandwidths):
     ref_value, ref_gx, ref_gy = reference_mmd_grad(X, Y, bandwidths)
     assert value == ref_value
     assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
+
+
+def steady_state_peak():
+    """Peak bytes traced during a 400 vs 400 `mmd_rbf` made after a first one."""
+    X, Y = samples(400, 400)
+    mmd_rbf(X, Y)
+    tracemalloc.start()
+    try:
+        mmd_rbf(X, Y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fd_grad(f, A, eps=1e-6):
@@ -319,7 +333,7 @@ class TestMmd:
         mmd_rbf(X, Y)  # so that the scratch holds a pooled matrix
         sq = _sq_dists(A, B)
         assert np.array_equal(sq, reference_sq_dists(A, B))
-        assert not np.shares_memory(sq, objectives._pooled_scratch)
+        assert not np.shares_memory(sq, objectives._scratch.pooled)
 
     def test_median_bandwidths_leaves_its_input_unchanged(self):
         X, Y = samples(40, 30)
@@ -337,21 +351,55 @@ class TestMmd:
             mmd_rbf_grad(*other)
             mmd_rbf(*other)
         assert np.array_equal(gx, kept[0]) and np.array_equal(gy, kept[1])
-        assert not any(np.shares_memory(g, objectives._pooled_scratch) for g in (gx, gy))
+        assert not any(np.shares_memory(g, objectives._scratch.pooled) for g in (gx, gy))
 
     def test_steady_state_call_allocates_less_than_one_pooled_matrix(self):
         # deterministic, unlike a timing: the bytes numpy allocates during one
         # 400 vs 400 call once the scratch has grown, against the 800 x 800
         # float64 pooled matrix that a fresh-allocating call needs at least twice
-        X, Y = samples(400, 400)
-        mmd_rbf(X, Y)
-        tracemalloc.start()
+        assert steady_state_peak() < 800 * 800 * 8
+
+    def test_steady_state_call_on_a_helper_thread_allocates_less_than_one_pooled_matrix(self):
+        # a thread's first call grows its own scratch, and its later calls reuse it
+        peaks = []
+        helper = threading.Thread(target=lambda: peaks.append(steady_state_peak()))
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive() and len(peaks) == 1 and peaks[0] < 800 * 800 * 8
+
+    def test_threads_keep_their_own_scratch(self):
+        # full-dataset diagnostics and batch gradients running at once, as in
+        # UDA, on more threads than a small host has cores and with frequent
+        # thread switches, each give the bytes of a call made alone
+        big, small = samples(400, 400), samples(64, 64, 1)
+        expected = {"value": mmd_rbf(*big), "grad": mmd_rbf_grad(*small)}
+        calls = {"value": lambda: mmd_rbf(*big), "grad": lambda: mmd_rbf_grad(*small)}
+        kinds = ["value", "grad"] * 2
+        results = [[] for _ in kinds]
+
+        def repeat(kind, out):
+            for _ in range(50):
+                out.append(calls[kind]())
+
+        threads = [threading.Thread(target=repeat, args=job) for job in zip(kinds, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            mmd_rbf(X, Y)
-            peak = tracemalloc.get_traced_memory()[1]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
-            tracemalloc.stop()
-        assert peak < 800 * 800 * 8
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        value, gx, gy = expected["grad"]
+        for kind, out in zip(kinds, results):
+            assert len(out) == 50
+            if kind == "value":
+                assert out == [expected["value"]] * 50
+            else:
+                for v, rx, ry in out:
+                    assert v == value and np.array_equal(rx, gx) and np.array_equal(ry, gy)
 
     # two values near the float64 maximum overflow to inf in np.median's mean,
     # with a RuntimeWarning, and _median must overflow the same way
