@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mea
 from .datagen import Dataset
 from .errors import ParameterError
 from .nn import (
@@ -240,11 +241,6 @@ def _ensemble_pseudo_labels(net: SourceModel, weights, X) -> np.ndarray:
     return assign()
 
 
-def pseudo_labels(model: SourceModel, target: Dataset) -> np.ndarray:
-    """Two-round centroid pseudo labels for a single model."""
-    return _ensemble_pseudo_labels(stack_models([model])[0], np.array([1.0]), target.features)
-
-
 def _adapt_loop(
     models,
     weights,
@@ -255,7 +251,14 @@ def _adapt_loop(
     mode: str | None = None,
 ) -> TrainerOutput:
     """Adapt the models with a non-zero weight as one stack, `net`, one forward and
-    backward per batch; the zero-weight models stay out of it, untouched."""
+    backward per batch; the zero-weight models stay out of it, untouched. This is
+    the one place that resolves `weights`, in the forms `train_msfda` takes."""
+    if not models:
+        raise ParameterError("need at least one source model")
+    if weights is None:
+        weights = np.full(len(models), 1.0 / len(models))
+    elif isinstance(weights, dict):
+        weights = mea.estimate(models, weights, target, cfg.lambda_mea)[0].w_final
     weights = ensemble_weights(models, weights)
     active = weights != 0.0
     net, members = stack_models([m for m, a in zip(models, active) if a])
@@ -335,7 +338,7 @@ def train_sfda(
     """
     if source_model.input_dim != target.d:
         raise ParameterError("model input dim does not match target dimension")
-    return _adapt_loop([source_model], [1.0], target, cfg, eval_set)
+    return _adapt_loop([source_model], None, target, cfg, eval_set)
 
 
 def train_msfda(
@@ -345,9 +348,9 @@ def train_msfda(
     cfg: AdaptationConfig,
     eval_set: Dataset | None = None,
 ) -> TrainerOutput:
-    """Weighted multi-source-free adaptation with fixed ensemble weights."""
-    if not models:
-        raise ParameterError("need at least one source model")
+    """Weighted multi-source-free adaptation with fixed ensemble weights: one per
+    model, None for uniform, or a dict of shared labeled datasets that MEA scores
+    the models on with `cfg.lambda_mea` (an empty dict is its confidence fallback)."""
     return _adapt_loop(models, weights, target, cfg, eval_set)
 
 
@@ -360,7 +363,8 @@ def train_expanded_base(
     cfg: AdaptationConfig,
     eval_set: Dataset | None = None,
 ) -> TrainerOutput:
-    """MSFDA plus cross-entropy on visible source data (optionally plus MMD)."""
+    """MSFDA plus cross-entropy on visible source data (optionally plus MMD);
+    `weights` takes the forms `train_msfda` does."""
     if not visible_sources:
         raise ParameterError("expanded base requires at least one visible source")
     if mode not in EXPANDED_MODES:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mea
 from .adapt import (
     AdaptationConfig,
     TrainerOutput,
@@ -111,27 +110,26 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
                         train_source(ds, replace(SOURCE_CONFIG, seed=seed * 100 + j)).model
                         for j, ds in enumerate(datasets.values())
                     ]
-                weights = np.full(len(model_list), 1.0 / len(model_list)) if model_list else None
 
                 if spec.paradigm == "uda":  # trains its own model from the first source's data
                     first = next(iter(datasets.values()))
                     out = train_uda(first, target, cfg, eval_set=target_eval)
-                elif spec.paradigm == "source-only":
+                elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
+                    weights = np.full(len(model_list), 1.0 / len(model_list))
                     acc = _ensemble_accuracy(stack_models(model_list)[0], weights, target_eval)
                     row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
                     out = TrainerOutput(model_list, weights, [row])
                 elif spec.paradigm == "sfda":
                     out = train_sfda(model_list[0], target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "msfda-uniform":
-                    out = train_msfda(model_list, weights, target, cfg, eval_set=target_eval)
+                    out = train_msfda(model_list, None, target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "msfda-mea":
                     shared = {d: datasets[d] for d in spec.shared or datasets}
-                    est, _ = mea.estimate(model_list, shared, target, spec.config.lambda_mea)
-                    out = train_msfda(model_list, est.w_final, target, cfg, eval_set=target_eval)
+                    out = train_msfda(model_list, shared, target, cfg, eval_set=target_eval)
                 elif spec.paradigm == "expanded-base":
                     visible = [datasets[d] for d in spec.expanded_visible]
                     out = train_expanded_base(
-                        model_list, weights, target, visible, "ce-only", cfg, eval_set=target_eval
+                        model_list, None, target, visible, "ce-only", cfg, eval_set=target_eval
                     )
                 run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
                 records.append(ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights))

@@ -143,13 +143,13 @@ def cmd_train_source(args) -> int:
     return EXIT_OK
 
 
-def _load_weights_arg(args, models, target, cfg):
+def _load_weights_arg(args, models):
+    """msfda's weights: None (uniform), the --visible datasets (MEA), or a file's."""
     if args.weights in (None, "uniform"):
-        return np.full(len(models), 1.0 / len(models))
+        return None
     ids = _model_ids(models)
     if args.weights == "mea":
-        est, _ = mea.estimate(models, _parse_visible(args), target, cfg.lambda_mea)
-        return est.w_final
+        return _parse_visible(args)
     est, file_ids = mea.parse_weights(Path(args.weights).read_text())
     if sorted(file_ids) != sorted(ids):
         raise ParameterError(f"weights file is for models {file_ids}, --model gives {ids}")
@@ -171,6 +171,8 @@ def _parse_visible(args) -> dict:
         if "=" not in item:
             raise ParameterError(f"--visible expects domain=path, got {item!r}")
         domain, _, path = item.partition("=")
+        if domain in visible:
+            raise ParameterError(f"--visible domain {domain!r} given twice")
         ds = load_dataset(path)
         if ds.labels is None:
             raise ParameterError(f"visible domain {domain!r} must be labeled")
@@ -202,8 +204,8 @@ def cmd_adapt(args) -> int:
             raise ParameterError("paradigm 'msfda' requires at least one --model")
         if args.visible and args.weights != "mea":
             raise ParameterError("--visible is read only with --weights mea")
-        weights = _load_weights_arg(args, models, target_unlabeled, cfg)
-        out = train_msfda(models, weights, target_unlabeled, cfg, eval_set=eval_set)
+        out = train_msfda(models, _load_weights_arg(args, models), target_unlabeled, cfg,
+                          eval_set=eval_set)
     else:  # expanded
         models = [load_model(p) for p in args.model or []]
         if not models:
@@ -211,8 +213,7 @@ def cmd_adapt(args) -> int:
         if not args.source_data:
             raise ParameterError("paradigm 'expanded' requires --source-data")
         visible = [load_dataset(p) for p in args.source_data]
-        weights = np.full(len(models), 1.0 / len(models))
-        out = train_expanded_base(models, weights, target_unlabeled, visible,
+        out = train_expanded_base(models, None, target_unlabeled, visible,
                                   args.mode or "ce-only", cfg, eval_set=eval_set)
 
     if args.out:

@@ -250,10 +250,6 @@ def sgd_step(model: SourceModel, grad: Gradient, state: OptimizerState) -> None:
         layer.bias -= state.learning_rate * vb
 
 
-def accuracy(model: SourceModel, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(forward(model, X).probs.argmax(axis=1) == y))
-
-
 def save_model(model: SourceModel, path) -> None:
     lines = [MODEL_MAGIC]
     lines.append(" ".join(f"{k}={v}" for k, v in sorted(model.meta.items())))

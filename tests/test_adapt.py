@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftlab import adapt, objectives
+from shiftlab import adapt, mea, objectives
 from shiftlab.adapt import (
     EVAL_INTERVAL,
     AdaptationConfig,
-    pseudo_labels,
     train_expanded_base,
     train_msfda,
     train_sfda,
@@ -19,7 +18,7 @@ from shiftlab.adapt import (
 )
 from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
 from shiftlab.errors import ParameterError
-from shiftlab.nn import accuracy, backward, forward, init_model, init_optimizer, sgd_step, stack_models
+from shiftlab.nn import backward, forward, init_model, init_optimizer, sgd_step, stack_models
 from shiftlab.objectives import cross_entropy, mmd_rbf, mmd_rbf_grad
 from shiftlab.records import TrajectoryRow
 
@@ -95,7 +94,7 @@ class TestTrainSource:
     def test_learns_training_domain(self):
         ds = moons(seed=3)
         out = train_source(ds, AdaptationConfig(iterations=300, seed=3))
-        assert accuracy(out.model, ds.features, ds.labels) >= 0.95
+        assert adapt._ensemble_accuracy(stack_models([out.model])[0], [1.0], ds) >= 0.95
 
     def test_deterministic(self):
         ds = moons(seed=1)
@@ -324,14 +323,15 @@ class TestPseudoLabels:
     def test_well_separated_blobs_recovered(self):
         ds = gen_gaussian_blobs(200, 2, 2, 8.0, [0.5, 0.5], seed=11)
         model = train_source(ds, AdaptationConfig(iterations=300, seed=11)).model
-        labels = pseudo_labels(model, ds.unlabeled())
+        labels = adapt._ensemble_pseudo_labels(stack_models([model])[0], [1.0], ds.features)
         assert np.mean(labels == ds.labels) >= 0.95
 
     def test_deterministic(self):
         ds = moons(seed=12)
         model = train_source(ds, AdaptationConfig(iterations=100, seed=12)).model
-        a = pseudo_labels(model, ds.unlabeled())
-        b = pseudo_labels(model, ds.unlabeled())
+        net = stack_models([model])[0]
+        a = adapt._ensemble_pseudo_labels(net, [1.0], ds.features)
+        b = adapt._ensemble_pseudo_labels(net, [1.0], ds.features)
         assert np.array_equal(a, b)
 
 
@@ -346,10 +346,10 @@ class TestTrainSfda:
         wins = 0
         for seed in range(3):
             model, tgt = self._source_and_target(seed)
-            before = accuracy(model, tgt.features, tgt.labels)
+            before = adapt._ensemble_accuracy(stack_models([model])[0], [1.0], tgt)
             out = train_sfda(model, tgt.unlabeled(),
                              AdaptationConfig(seed=seed, learning_rate=0.01))
-            after = accuracy(out.model, tgt.features, tgt.labels)
+            after = adapt._ensemble_accuracy(stack_models([out.model])[0], [1.0], tgt)
             wins += after > before
         assert wins >= 2
 
@@ -375,14 +375,43 @@ class TestTrainSfda:
         ]
 
 
+def same_run(a, b) -> bool:
+    """Two trainer outputs have equal rows (`ms` aside), weights and parameters."""
+    for row in (*a.rows, *b.rows):
+        row.ms = 0.0
+    return (a.rows == b.rows and np.array_equal(a.weights, b.weights)
+            and len(a.models) == len(b.models)
+            and all(params_equal(x, y) for x, y in zip(a.models, b.models)))
+
+
 class TestTrainMsfda:
+    def _sources(self):
+        return {f"s{i}": moons(rotation=r, seed=10 + i, domain_id=f"s{i}")
+                for i, r in enumerate((0.0, 10.0))}
+
     def _models_and_target(self):
-        srcs = [moons(rotation=r, seed=10 + i, domain_id=f"s{i}")
-                for i, r in enumerate((0.0, 10.0))]
         models = [train_source(s, AdaptationConfig(iterations=200, seed=20 + i)).model
-                  for i, s in enumerate(srcs)]
+                  for i, s in enumerate(self._sources().values())]
         tgt = moons(rotation=30.0, seed=30, domain_id="target")
         return models, tgt
+
+    def test_none_weights_are_uniform(self):
+        models, tgt = self._models_and_target()
+        cfg = AdaptationConfig(iterations=25, seed=6)
+        out = train_msfda(models, None, tgt.unlabeled(), cfg, tgt)
+        assert same_run(out, train_msfda(models, np.full(2, 0.5), tgt.unlabeled(), cfg, tgt))
+        assert out.weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("shared", [("s0", "s1"), ("s1",), ()])
+    def test_dict_weights_are_the_mea_estimate(self, shared):
+        models, tgt = self._models_and_target()
+        cfg = AdaptationConfig(iterations=25, seed=6, lambda_mea=0.5)
+        datasets = {d: ds for d, ds in self._sources().items() if d in shared}
+        est, _ = mea.estimate(models, datasets, tgt.unlabeled(), cfg.lambda_mea)
+        assert est.fallback == (len(shared) < 2)  # s1 alone is no proxy for its own model
+        assert not np.array_equal(est.w_final, [0.5, 0.5])  # {} is MEA too, not uniform
+        out = train_msfda(models, datasets, tgt.unlabeled(), cfg, tgt)
+        assert same_run(out, train_msfda(models, est.w_final, tgt.unlabeled(), cfg, tgt))
 
     def test_degenerates_to_sfda_bitwise(self):
         models, tgt = self._models_and_target()

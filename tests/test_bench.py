@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from shiftlab import bench
+from shiftlab import bench, mea
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
     MoonsRecipe,
@@ -103,14 +103,14 @@ class TestRunScenario:
 
     def test_records_are_named_once_and_carry_their_weights(self, monkeypatch):
         estimates = []
-        estimate = bench.mea.estimate
+        estimate = mea.estimate
 
         def spying(*args, **kwargs):
             result = estimate(*args, **kwargs)
             estimates.append(result[0].w_final.tolist())
             return result
 
-        monkeypatch.setattr(bench.mea, "estimate", spying)
+        monkeypatch.setattr(mea, "estimate", spying)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
             ScenarioSpec("tiny", paradigm, target, TINY, expanded_visible=["b"])
@@ -214,13 +214,13 @@ class TestSourceModels:
 class TestSharedData:
     def test_mea_scores_on_the_shared_sources_only(self, monkeypatch):
         received = []
-        estimate = bench.mea.estimate
+        estimate = mea.estimate
 
         def counting(models, datasets, *args, **kwargs):
             received.append([(d, ds.domain_id) for d, ds in datasets.items()])
             return estimate(models, datasets, *args, **kwargs)
 
-        monkeypatch.setattr(bench.mea, "estimate", counting)
+        monkeypatch.setattr(mea, "estimate", counting)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
             ScenarioSpec("tiny", "msfda-mea", target, TINY, shared=shared)

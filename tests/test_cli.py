@@ -2,6 +2,7 @@ import hashlib
 import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shiftlab import cli
+from shiftlab.adapt import AdaptationConfig
 from shiftlab.datagen import Dataset, gen_two_moons, load_dataset, save_dataset
 from shiftlab.errors import NumericError, ShiftLabError
 from shiftlab.mea import combine_weights, format_weights, parse_weights
@@ -294,7 +296,8 @@ class TestExitCodes:
         "weights-fallback-word", "train-zero-iterations", "blobs-nan-priors",
         "moons-nan-noise", "blobs-inf-separation", "adapt-unlabeled-eval", "uda-unread-flags",
         "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
-        "expanded-unread-weights", "train-source-overflow",
+        "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
+        "mea-visible-twice",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -338,6 +341,7 @@ class TestExitCodes:
         unlabeled = tmp_path / "unlabeled.csv"
         save_dataset(load_dataset(moons_file).unlabeled(), unlabeled)
         target, source = ("--target", str(moons_file)), ("--source-data", str(moons_file))
+        twice = ("--visible", f"a={moons_file}", "--visible", f"a={moons_file}")
         argv, needle = {  # needle: what the one-line error must name
             "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
             "config-float": ((*train, "--config", str(cfg)), "'learning_rate': 'fast'"),
@@ -413,6 +417,11 @@ class TestExitCodes:
                                         "paradigm 'expanded' does not read --weights"),
             "train-source-overflow": ((*train, "--learning-rate", "1e308", "--iterations", "3"),
                                       "overflow encountered"),
+            "estimate-visible-twice": (("estimate", "--model", str(model_a), "--model",
+                                        str(model_b), "--target", str(moons_file), *twice,
+                                        "--out", str(weights)), "domain 'a' given twice"),
+            "mea-visible-twice": ((*adapt, "--weights", "mea", "--model", str(model_a),
+                                   "--model", str(model_b), *twice), "domain 'a' given twice"),
         }[probe]
         # a float that overflows is a numeric error (exit 3), with the same one line
         assert run(*argv) == (3 if probe == "train-source-overflow" else 2)
@@ -497,6 +506,63 @@ class TestArbitraryInput:
         path = tmp_path_factory.getbasetemp() / f"fuzz-token-{kind}"
         path.write_bytes("".join(parts).encode("utf-8"))
         check_exit_contract(kind, path)
+
+
+@pytest.fixture(scope="module")
+def run_commands(tmp_path_factory):
+    """name -> argv of one small valid adapt (each paradigm and weights form) or estimate run."""
+    d = tmp_path_factory.mktemp("runs")
+    a, b, t = (str(d / f"{name}.csv") for name in "abt")
+    for seed, (name, rotation) in enumerate((("a", 0.0), ("b", 10.0), ("t", 30.0))):
+        save_dataset(gen_two_moons(60, 0.1, rotation, seed=seed, domain_id=name), d / f"{name}.csv")
+    model_a, model_b = (str(p) for p in id_models(d))
+    (d / "w.weights").write_text(weights_text(["a", "b"]))
+    adapt = ("adapt", "--target", t, "--iterations=3", "--batch-size=16", "--pseudo-refresh=2")
+    msfda = (*adapt, "--paradigm", "msfda", "--model", model_a, "--model", model_b)
+    expanded = (*adapt, "--paradigm", "expanded", "--model", model_a, "--model", model_b,
+                "--source-data", a, "--mode")
+    visible = ("--visible", f"a={a}", "--visible", f"b={b}")
+    return {
+        "uda": (*adapt, "--paradigm", "uda", "--source-data", a),
+        "sfda": (*adapt, "--paradigm", "sfda", "--model", model_a),
+        "msfda": msfda,
+        "msfda-uniform": (*msfda, "--weights", "uniform"),
+        "msfda-mea": (*msfda, "--weights", "mea", *visible),
+        "msfda-file": (*msfda, "--weights", str(d / "w.weights")),
+        "expanded-ce-only": (*expanded, "ce-only"),
+        "expanded-ce+mmd": (*expanded, "ce+mmd"),
+        "estimate": ("estimate", "--model", model_a, "--model", model_b, "--target", t,
+                     *visible, "--out", str(d / "out.weights")),
+    }
+
+
+ADAPT_NUMBERS = [f"--{f.name.replace('_', '-')}" for f in fields(AdaptationConfig)]
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "x", ""]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_numeric_flag_replaced(self, run_commands, data):
+        name = data.draw(st.sampled_from(sorted(run_commands)))
+        flag = data.draw(st.sampled_from(["--lambda"] if name == "estimate" else ADAPT_NUMBERS))
+        # argparse keeps an option's last value; `=` lets "-inf" through as a value
+        argv = [*run_commands[name], f"{flag}={data.draw(st.sampled_from(EXTREMES))}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code, usage = cli.main(argv), False
+            except SystemExit as exc:  # argparse's own rejection
+                code, usage = exc.code, True
+        err = err.getvalue()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in out.getvalue() + err
+        if usage:
+            assert code == 2 and err.startswith("usage: ") and "error: argument" in err
+        elif code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 # every printable ASCII character but the format separators: whitespace, ',' and '='
