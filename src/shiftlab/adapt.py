@@ -21,6 +21,7 @@ from .datagen import Dataset
 from .errors import ParameterError
 from .nn import (
     SourceModel,
+    add_gradient,
     backward,
     forward,
     init_model,
@@ -162,8 +163,7 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
         tape_t = forward(model, target.features[next(tgt_stream)])
         mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
         grad = backward(model, tape_s, dce, lam * gx)
-        grad.add_(backward(model, tape_t, dfeat=lam * gy))
-        sgd_step(model, grad, opt)
+        sgd_step(model, add_gradient(grad, backward(model, tape_t, dfeat=lam * gy)), opt)
         if evaluating:
             snapshots.put((it, model.clone()))  # its loss_mmd comes from the helper
         return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
@@ -311,9 +311,9 @@ def _adapt_loop(
         # one backward through the target tape, carrying its IM/CE probs and MMD features
         grad = backward(net, tape, per_member * dprobs, dfeat)
         for g in vis_grads:
-            grad.add_(g)
-        for g in grad.classifier:
-            g[...] = 0.0  # the classifier stays the source hypothesis
+            add_gradient(grad, g)
+        for g in grad[-1]:
+            g[...] = 0.0  # the classifier, the last layer, stays the source hypothesis
         sgd_step(net, grad, opt)
         return {
             "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
@@ -333,8 +333,9 @@ def train_sfda(
 ) -> TrainerOutput:
     """Single-source source-free adaptation: IM loss plus pseudo-label CE.
 
-    Starts from the source model; the classifier is frozen and only the
-    extractor adapts. No source data is reachable from this signature.
+    Starts from the source model; its last layer, the classifier, is frozen
+    and only the tanh layers adapt. No source data is reachable from this
+    signature.
     """
     if source_model.input_dim != target.d:
         raise ParameterError("model input dim does not match target dimension")

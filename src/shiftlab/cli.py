@@ -168,9 +168,9 @@ def _model_ids(models) -> list:
 def _parse_visible(args) -> dict:
     visible = {}
     for item in args.visible or []:
-        if "=" not in item:
+        domain, sep, path = item.partition("=")
+        if not (sep and domain):
             raise ParameterError(f"--visible expects domain=path, got {item!r}")
-        domain, _, path = item.partition("=")
         if domain in visible:
             raise ParameterError(f"--visible domain {domain!r} given twice")
         ds = load_dataset(path)

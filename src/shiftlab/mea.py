@@ -48,7 +48,7 @@ class WeightEstimate:
             raise ParameterError("w_s, w_t, w_raw and w_final must have the same length")
         _check_simplex(self.w_final, "w_final")
         expected = 1.0 if self.fallback else 1.0 + self.lam
-        if not abs(self.w_raw.sum() - expected) <= 1e-9:
+        if not abs(self.w_raw.sum() - expected) <= 1e-9 * expected:
             raise ParameterError(f"w_raw must sum to {expected}, got {self.w_raw.sum()}")
         if int(np.argmax(self.w_final)) != int(np.argmax(self.w_raw)):
             raise ParameterError("normalization must preserve the argmax of w_raw")

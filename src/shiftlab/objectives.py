@@ -23,7 +23,7 @@ def _check_probs(probs: np.ndarray) -> np.ndarray:
     if probs.ndim != 2:
         raise ParameterError("probs must be a batch x K matrix")
     sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(probs < 0):
+    if not (np.all(np.abs(sums - 1.0) <= 1e-6) and np.all(probs >= 0)):  # NaN fails too
         raise ParameterError("rows of probs must be probability vectors")
     return probs
 

@@ -18,7 +18,7 @@ from shiftlab.bench import (
 )
 from shiftlab.datagen import gen_two_moons
 from shiftlab.mea import combine_weights, confidence_weights, estimate
-from shiftlab.nn import Layer, SourceModel, backward, forward, init_model
+from shiftlab.nn import Layer, SourceModel, add_gradient, backward, forward, init_model
 from shiftlab.objectives import cross_entropy, diversity_loss, entropy_loss, mmd_rbf, mmd_rbf_grad
 
 FD_EPS = 1e-5
@@ -32,8 +32,8 @@ def report(criterion, ok, detail=""):
 
 def fd_model_grad(model, loss_fn):
     grads = []
-    for layer in [*model.extractor, model.classifier]:
-        for arr in (layer.weight, layer.bias):
+    for layer in model.layers:
+        for arr in layer:
             g = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
@@ -50,7 +50,7 @@ def fd_model_grad(model, loss_fn):
 
 def flat_analytic(grad):
     out = []
-    for gw, gb in [*grad.extractor, grad.classifier]:
+    for gw, gb in grad:
         out.extend([gw, gb])
     return out
 
@@ -77,7 +77,7 @@ class TestCriterion1Gradients:
                 y = rng.integers(0, 3, size=6)
 
                 def value():
-                    probs = forward(model, X)[2]
+                    probs = forward(model, X).probs
                     return (loss(probs, y) if needs else loss(probs))[0]
 
                 tape = forward(model, X)
@@ -97,7 +97,7 @@ class TestCriterion1Gradients:
 
             _, gx, gy = mmd_rbf_grad(forward(model, X)[0], forward(model, Y)[0], kernel)
             analytic = backward(model, forward(model, X), dfeat=gx)
-            analytic.add_(backward(model, forward(model, Y), dfeat=gy))
+            add_gradient(analytic, backward(model, forward(model, Y), dfeat=gy))
             worst = max(worst, max_rel_err(flat_analytic(analytic), fd_model_grad(model, value)))
             count += 1
         elapsed = time.perf_counter() - t0
@@ -118,13 +118,12 @@ class TestCriterion2WeightAlgebra:
         # confident; a saturated classifier is exactly 1.0 confident
         from shiftlab.datagen import Dataset
 
-        ext = [Layer(np.array([[1.0]]), np.zeros(1), "tanh")]
-        flat = SourceModel([Layer(np.array([[1.0]]), np.zeros(1), "tanh")],
-                           Layer(np.zeros((4, 1)), np.zeros(4), "linear"),
+        flat = SourceModel([Layer(np.array([[1.0]]), np.zeros(1)),
+                            Layer(np.zeros((4, 1)), np.zeros(4))],
                            {"domain_id": "flat"})
-        sharp = SourceModel(ext,
-                            Layer(np.array([[4000.0], [-4000.0], [-4000.0], [-4000.0]]),
-                                  np.zeros(4), "linear"),
+        sharp = SourceModel([Layer(np.array([[1.0]]), np.zeros(1)),
+                             Layer(np.array([[4000.0], [-4000.0], [-4000.0], [-4000.0]]),
+                                   np.zeros(4))],
                             {"domain_id": "sharp"})
         target = Dataset(np.ones((5, 1)), None, 4, "t")
         w_t = confidence_weights([flat, sharp], target)
@@ -215,10 +214,7 @@ class TestCriterion4Degenerations:
         )
         param_diff = max(
             float(np.max(np.abs(la.weight - lb.weight)))
-            for la, lb in zip(
-                [*uda.model.extractor, uda.model.classifier],
-                [*plain.model.extractor, plain.model.classifier],
-            )
+            for la, lb in zip(uda.model.layers, plain.model.layers, strict=True)
         )
 
         models = [
@@ -234,10 +230,7 @@ class TestCriterion4Degenerations:
         )
         param_diff2 = max(
             float(np.max(np.abs(la.weight - lb.weight)))
-            for la, lb in zip(
-                [*ens.models[0].extractor, ens.models[0].classifier],
-                [*solo.models[0].extractor, solo.models[0].classifier],
-            )
+            for la, lb in zip(ens.models[0].layers, solo.models[0].layers, strict=True)
         )
         elapsed = time.perf_counter() - t0
         worst = max(step_diff, param_diff, step_diff2, param_diff2)

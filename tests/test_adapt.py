@@ -18,7 +18,15 @@ from shiftlab.adapt import (
 )
 from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
 from shiftlab.errors import ParameterError
-from shiftlab.nn import backward, forward, init_model, init_optimizer, sgd_step, stack_models
+from shiftlab.nn import (
+    add_gradient,
+    backward,
+    forward,
+    init_model,
+    init_optimizer,
+    sgd_step,
+    stack_models,
+)
 from shiftlab.objectives import cross_entropy, mmd_rbf, mmd_rbf_grad
 from shiftlab.records import TrajectoryRow
 
@@ -28,7 +36,7 @@ def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
 
 
 def params_equal(a, b):
-    for la, lb in zip([*a.extractor, a.classifier], [*b.extractor, b.classifier]):
+    for la, lb in zip(a.layers, b.layers, strict=True):
         if not (np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)):
             return False
     return True
@@ -196,7 +204,7 @@ def reference_train_uda(source, target, cfg, eval_set=None):
         tape_t = forward(model, target.features[next(tgt_stream)])
         mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
         grad = backward(model, tape_s, dce, lam * gx)
-        grad.add_(backward(model, tape_t, dfeat=lam * gy))
+        add_gradient(grad, backward(model, tape_t, dfeat=lam * gy))
         sgd_step(model, grad, opt)
         if evaluating:
             fs = forward(model, source.features).features
@@ -356,10 +364,10 @@ class TestTrainSfda:
     def test_classifier_frozen(self):
         model, tgt = self._source_and_target(1)
         out = train_sfda(model, tgt.unlabeled(), AdaptationConfig(iterations=60, seed=1))
-        assert np.array_equal(out.model.classifier.weight, model.classifier.weight)
-        assert np.array_equal(out.model.classifier.bias, model.classifier.bias)
-        # the extractor did move
-        assert not np.array_equal(out.model.extractor[0].weight, model.extractor[0].weight)
+        assert np.array_equal(out.model.layers[-1].weight, model.layers[-1].weight)
+        assert np.array_equal(out.model.layers[-1].bias, model.layers[-1].bias)
+        # the tanh layers did move
+        assert not np.array_equal(out.model.layers[0].weight, model.layers[0].weight)
 
     def test_input_model_not_mutated(self):
         model, tgt = self._source_and_target(2)
@@ -484,7 +492,7 @@ class TestExpandedBase:
         calls, original = [], getattr(adapt, name)
 
         def counting(model, *args, **kwargs):
-            calls.append((model, model.extractor[0].weight.copy()))
+            calls.append((model, model.layers[0].weight.copy()))
             return original(model, *args, **kwargs)
 
         monkeypatch.setattr(adapt, name, counting)
@@ -499,8 +507,8 @@ class TestExpandedBase:
         assert len(calls) == iterations * (1 + len(visible))
         assert len({id(net) for net, _ in calls}) == 1
         net, first = calls[0]
-        assert net.extractor[0].weight.shape[0] == 2
-        assert np.array_equal(first, np.stack([m.extractor[0].weight for m in models[:2]]))
+        assert net.layers[0].weight.shape[0] == 2
+        assert np.array_equal(first, np.stack([m.layers[0].weight for m in models[:2]]))
 
     def test_one_forward_per_active_model_and_batch(self, monkeypatch):
         # per step, the target batch and each visible batch go through one

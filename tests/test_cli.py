@@ -297,7 +297,7 @@ class TestExitCodes:
         "moons-nan-noise", "blobs-inf-separation", "adapt-unlabeled-eval", "uda-unread-flags",
         "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
         "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
-        "mea-visible-twice",
+        "mea-visible-twice", "visible-empty-id",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -389,6 +389,9 @@ class TestExitCodes:
             "visible-bad-id": (("estimate", "--model", str(model_a), "--target", str(moons_file),
                                 "--visible", f"a b={moons_file}", "--out", str(weights)),
                                "'a b'"),
+            "visible-empty-id": (("estimate", "--model", str(model_a), "--target", str(moons_file),
+                                  "--visible", f"={moons_file}", "--out", str(weights)),
+                                 f"got '={moons_file}'"),
             "dataset-bare-token": (("verify", "dataset", str(bad)), "'b'"),
             "dataset-repeated-key": (("verify", "dataset", str(bad)), "'domain' given twice"),
             "model-bare-token": (("verify", "model", str(bad)), "'junk'"),
@@ -468,6 +471,26 @@ def valid_files(tmp_path_factory):
     }
 
 
+def run_under_contract(argv) -> int:
+    """The exit code of `shiftlab argv`, once it is checked against the exit-code contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code, usage = cli.main(argv), False
+        except SystemExit as exc:  # argparse's own rejection
+            code, usage = exc.code, True
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err
+    if usage:
+        assert code == 2 and err.startswith("usage: ") and "error: argument" in err
+    elif code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+    return code
+
+
 def check_exit_contract(kind, path):
     """`verify` exits 0, or 2 with one `error:` line; `read_config` raises only what maps to 2."""
     if kind == "config":
@@ -476,12 +499,7 @@ def check_exit_contract(kind, path):
         except (ShiftLabError, UnicodeDecodeError):
             pass
         return
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = cli.main(["verify", kind, str(path)])
-    assert code in (0, 2)
-    if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert run_under_contract(["verify", kind, str(path)]) in (0, 2)
 
 
 KINDS = ["dataset", "model", "weights", "config"]
@@ -508,9 +526,17 @@ class TestArbitraryInput:
         check_exit_contract(kind, path)
 
 
+ADAPT_NUMBERS = [f"--{f.name.replace('_', '-')}" for f in fields(AdaptationConfig)]
+MOONS_NUMBERS = ["--n", "--noise", "--rotation", "--seed"]
+BLOBS_NUMBERS = ["--n", "--classes", "--dim", "--separation", "--priors", "--seed"]
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "x", ""]
+
+
 @pytest.fixture(scope="module")
 def run_commands(tmp_path_factory):
-    """name -> argv of one small valid adapt (each paradigm and weights form) or estimate run."""
+    """name -> (argv of one small valid run, its numeric flags, None or the (kind, path)
+    of the file it writes): gen, train-source, each adapt paradigm and weights form,
+    and estimate."""
     d = tmp_path_factory.mktemp("runs")
     a, b, t = (str(d / f"{name}.csv") for name in "abt")
     for seed, (name, rotation) in enumerate((("a", 0.0), ("b", 10.0), ("t", 30.0))):
@@ -522,7 +548,8 @@ def run_commands(tmp_path_factory):
     expanded = (*adapt, "--paradigm", "expanded", "--model", model_a, "--model", model_b,
                 "--source-data", a, "--mode")
     visible = ("--visible", f"a={a}", "--visible", f"b={b}")
-    return {
+    dataset, model, weights = str(d / "out.csv"), str(d / "out.model"), str(d / "out.weights")
+    adapt_run = {
         "uda": (*adapt, "--paradigm", "uda", "--source-data", a),
         "sfda": (*adapt, "--paradigm", "sfda", "--model", model_a),
         "msfda": msfda,
@@ -531,13 +558,18 @@ def run_commands(tmp_path_factory):
         "msfda-file": (*msfda, "--weights", str(d / "w.weights")),
         "expanded-ce-only": (*expanded, "ce-only"),
         "expanded-ce+mmd": (*expanded, "ce+mmd"),
-        "estimate": ("estimate", "--model", model_a, "--model", model_b, "--target", t,
-                     *visible, "--out", str(d / "out.weights")),
     }
-
-
-ADAPT_NUMBERS = [f"--{f.name.replace('_', '-')}" for f in fields(AdaptationConfig)]
-EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "x", ""]
+    return {
+        **{name: (argv, ADAPT_NUMBERS, None) for name, argv in adapt_run.items()},
+        "estimate": (("estimate", "--model", model_a, "--model", model_b, "--target", t,
+                      *visible, "--out", weights), ["--lambda"], ("weights", weights)),
+        "gen-two-moons": (("gen", "two-moons", "--n=400", "--out", dataset), MOONS_NUMBERS,
+                          ("dataset", dataset)),
+        "gen-blobs": (("gen", "blobs", "--n=400", "--out", dataset), BLOBS_NUMBERS,
+                      ("dataset", dataset)),
+        "train-source": (("train-source", "--data", a, "--iterations=3", "--batch-size=16",
+                          "--out", model), ADAPT_NUMBERS, ("model", model)),
+    }
 
 
 class TestExitCodeContract:
@@ -545,24 +577,12 @@ class TestExitCodeContract:
     @given(data=st.data())
     def test_one_numeric_flag_replaced(self, run_commands, data):
         name = data.draw(st.sampled_from(sorted(run_commands)))
-        flag = data.draw(st.sampled_from(["--lambda"] if name == "estimate" else ADAPT_NUMBERS))
+        argv, flags, written = run_commands[name]
+        flag, value = data.draw(st.sampled_from(flags)), data.draw(st.sampled_from(EXTREMES))
         # argparse keeps an option's last value; `=` lets "-inf" through as a value
-        argv = [*run_commands[name], f"{flag}={data.draw(st.sampled_from(EXTREMES))}"]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code, usage = cli.main(argv), False
-            except SystemExit as exc:  # argparse's own rejection
-                code, usage = exc.code, True
-        err = err.getvalue()
-        assert code in (0, 2, 3)
-        assert "Traceback" not in out.getvalue() + err
-        if usage:
-            assert code == 2 and err.startswith("usage: ") and "error: argument" in err
-        elif code:
-            assert err.startswith("error: ") and err.count("\n") == 1
-        else:
-            assert err == ""
+        if run_under_contract([*argv, f"{flag}={value}"]) == 0:
+            if written:  # what a command writes, `verify` reads back
+                assert run_under_contract(["verify", *written]) == 0
 
 
 # every printable ASCII character but the format separators: whitespace, ',' and '='
@@ -590,12 +610,11 @@ def source_models(draw):
     dims = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))  # input, hidden..., classes
     layers = [
         Layer(draw(arrays(np.float64, (out, fan_in), elements=FINITE)),
-              draw(arrays(np.float64, out, elements=FINITE)),
-              "linear" if i == len(dims) - 2 else "tanh")
-        for i, (fan_in, out) in enumerate(zip(dims, dims[1:]))
+              draw(arrays(np.float64, out, elements=FINITE)))
+        for fan_in, out in zip(dims, dims[1:])
     ]
     meta = {"domain_id": draw(DOMAIN_IDS), "seed": str(draw(st.integers(0, 99)))}
-    return SourceModel(layers[:-1], layers[-1], meta)
+    return SourceModel(layers, meta)
 
 
 @st.composite
@@ -625,9 +644,8 @@ class TestRoundTrip:
         save_model(model, path)
         back = load_model(path)
         assert back.meta == model.meta
-        for a, b in zip([*model.extractor, model.classifier], [*back.extractor, back.classifier]):
+        for a, b in zip(model.layers, back.layers, strict=True):
             assert same_bits(a.weight, b.weight) and same_bits(a.bias, b.bias)
-            assert a.activation == b.activation
 
     @FUZZ
     @given(drawn=weight_estimates())

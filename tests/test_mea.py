@@ -20,9 +20,9 @@ from shiftlab.nn import Layer, SourceModel
 
 def sign_model(domain_id="m", scale=1.0):
     """1-D model predicting class 0 for x > 0 (class 1 when scale < 0)."""
-    extractor = [Layer(np.array([[scale]]), np.zeros(1), "tanh")]
-    classifier = Layer(np.array([[1.0], [-1.0]]), np.zeros(2), "linear")
-    return SourceModel(extractor, classifier, {"domain_id": domain_id})
+    layers = [Layer(np.array([[scale]]), np.zeros(1)),
+              Layer(np.array([[1.0], [-1.0]]), np.zeros(2))]
+    return SourceModel(layers, {"domain_id": domain_id})
 
 
 def weights_text(w_t, w_s, lam, ids=("a", "b")):
@@ -173,6 +173,20 @@ class TestWeightEstimateValidation:
             WeightEstimate(
                 np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1.0,
                 np.array([0.5, 0.5]), np.array([0.5, 0.5]),
+            )
+
+    @pytest.mark.parametrize("lam", [1e16, 1e17, 1e300])
+    def test_large_lambda_accepted_despite_rounding(self, lam):
+        # w_raw sums to 1 + lam only up to a rounding relative to 1 + lam
+        est = combine_weights([0.4, 0.6], [0.1, 0.9], lam)
+        assert np.allclose(est.w_final, [0.1, 0.9], atol=1e-12)
+        assert parse_weights(format_weights(est, ["a", "b"]))[0].lam == lam
+
+    def test_rejects_raw_sum_off_by_a_millionth(self):
+        with pytest.raises(ParameterError, match="w_raw must sum to 2.0"):
+            WeightEstimate(
+                np.array([0.5, 0.5]), np.array([0.5, 0.5]), 1.0,
+                np.array([1.0, 1.0 + 1e-6]), np.array([0.5, 0.5]),
             )
 
     def test_rejects_non_simplex_final(self):

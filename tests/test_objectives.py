@@ -180,6 +180,17 @@ class TestCrossEntropy:
             cross_entropy(np.array([[0.9, 0.9]]), np.array([0]))
 
 
+class TestProbabilityRows:
+    @pytest.mark.parametrize("loss", [cross_entropy, entropy_loss, diversity_loss, im_loss],
+                             ids=lambda loss: loss.__name__)
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_rejects_nan_rows(self, loss, row):
+        probs = np.array([[0.5, 0.5], row])
+        args = (probs, np.array([0, 1])) if loss is cross_entropy else (probs,)
+        with pytest.raises(ParameterError, match="probability vectors"):
+            loss(*args)
+
+
 class TestEntropyAndDiversity:
     def test_uniform_rows_maximize_entropy(self):
         uniform = np.full((4, 3), 1.0 / 3.0)
@@ -221,8 +232,8 @@ class TestSoftmaxChain:
         rng = np.random.default_rng(5)
         m = init_model(2, 5, 4, depth=2, seed=5)
         for x, u in zip(rng.normal(size=(6, 1, 2)), rng.normal(size=(6, 1, 4))):
-            g = backward(m, forward(m, x), u).classifier[1]
-            fd = fd_grad(lambda: float((forward(m, x).probs * u).sum()), m.classifier.bias)
+            g = backward(m, forward(m, x), u)[-1].bias
+            fd = fd_grad(lambda: float((forward(m, x).probs * u).sum()), m.layers[-1].bias)
             assert np.allclose(g, fd, atol=1e-6)
 
     def test_constant_upstream_gives_zero(self):
@@ -230,7 +241,7 @@ class TestSoftmaxChain:
         m = init_model(2, 5, 3, depth=2, seed=6)
         tape = forward(m, np.random.default_rng(6).normal(size=(4, 2)))
         g = backward(m, tape, np.ones_like(tape.probs))
-        for gw, gb in [*g.extractor, g.classifier]:
+        for gw, gb in g:
             assert np.allclose(gw, 0.0, atol=1e-12) and np.allclose(gb, 0.0, atol=1e-12)
 
 
@@ -512,13 +523,13 @@ class TestEnsemble:
         models = self._models(2)
         X = np.random.default_rng(14).normal(size=(5, 2))
         ens = self._mix(models, [1.0, 0.0], X)
-        assert np.array_equal(ens, forward(models[0], X)[2])
+        assert np.array_equal(ens, forward(models[0], X).probs)
 
     def test_convex_combination(self):
         models = self._models(2)
         X = np.random.default_rng(15).normal(size=(5, 2))
         ens = self._mix(models, [0.3, 0.7], X)
-        manual = 0.3 * forward(models[0], X)[2] + 0.7 * forward(models[1], X)[2]
+        manual = 0.3 * forward(models[0], X).probs + 0.7 * forward(models[1], X).probs
         assert np.allclose(ens, manual, atol=1e-15)
         assert np.allclose(ens.sum(axis=1), 1.0, atol=1e-9)
 

@@ -27,8 +27,9 @@ from shiftlab.adapt import (
 from shiftlab.datagen import gen_two_moons
 from shiftlab.errors import ParameterError
 from shiftlab.nn import (
-    Gradient,
+    Layer,
     Tape,
+    add_gradient,
     backward,
     forward,
     init_model,
@@ -56,46 +57,45 @@ def ref_softmax(logits):
 
 
 def ref_forward(model, X):
+    *hidden, head = model.layers
     acts = [X]
-    for layer in model.extractor:
+    for layer in hidden:
         acts.append(np.tanh(acts[-1] @ layer.weight.T + layer.bias))
     features = acts[-1]
-    logits = features @ model.classifier.weight.T + model.classifier.bias
-    return Tape(features, logits, ref_softmax(logits), acts)
+    logits = features @ head.weight.T + head.bias
+    return Tape(features, ref_softmax(logits), acts)
 
 
 def ref_backward(model, tape, dlogits=None, dfeat=None):
     acts, features = tape.acts, tape.features
+    *hidden, head = model.layers
     if dlogits is not None:
         g_wc = dlogits.T @ features
         g_bc = dlogits.sum(axis=0)
-        g = dlogits @ model.classifier.weight
+        g = dlogits @ head.weight
     else:
-        g_wc = np.zeros_like(model.classifier.weight)
-        g_bc = np.zeros_like(model.classifier.bias)
+        g_wc = np.zeros_like(head.weight)
+        g_bc = np.zeros_like(head.bias)
         g = np.zeros_like(features)
     if dfeat is not None:
         g = g + dfeat
-    ext_grads = [None] * len(model.extractor)
-    for i in range(len(model.extractor) - 1, -1, -1):
+    grads = [None] * len(hidden) + [Layer(g_wc, g_bc)]
+    for i in range(len(hidden) - 1, -1, -1):
         a_out, a_in = acts[i + 1], acts[i]
         dz = g * (1.0 - a_out * a_out)  # tanh'
-        ext_grads[i] = (dz.T @ a_in, dz.sum(axis=0))
-        g = dz @ model.extractor[i].weight
-    return Gradient(ext_grads, (g_wc, g_bc))
+        grads[i] = Layer(dz.T @ a_in, dz.sum(axis=0))
+        g = dz @ hidden[i].weight
+    return grads
 
 
 def ref_sgd_step(model, grad, state):
-    layers = [*model.extractor, model.classifier]
-    grads = [*grad.extractor, grad.classifier]
-    velocities = [*state.velocity.extractor, state.velocity.classifier]
-    for layer, (gw, gb), (vw, vb) in zip(layers, grads, velocities):
+    for (w, b), (gw, gb), (vw, vb) in zip(model.layers, grad, state.velocity):
         vw *= state.momentum
         vw += gw
         vb *= state.momentum
         vb += gb
-        layer.weight -= state.learning_rate * vw
-        layer.bias -= state.learning_rate * vb
+        w -= state.learning_rate * vw
+        b -= state.learning_rate * vb
 
 
 def ref_logits_grad(probs, dprobs):
@@ -230,9 +230,9 @@ def ref_adapt(models, weights, target, cfg, eval_set, visible_sources=(), mode=N
             for i, t in tapes.items()
         }
         for i, g in vis_grads:
-            grads[i].add_(g)
+            add_gradient(grads[i], g)
         for i, g in grads.items():
-            for a in g.classifier:
+            for a in g[-1]:
                 a[...] = 0.0
             ref_sgd_step(models[i], g, opts[i])
         row = {
@@ -253,10 +253,6 @@ def ref_adapt(models, weights, target, cfg, eval_set, visible_sources=(), mode=N
 # Kernels: a stack against each of its members on the reference.
 
 
-def layers_of(model):
-    return [*model.extractor, model.classifier]
-
-
 @pytest.fixture(scope="module")
 def members():
     return [init_model(2, 16, 3, depth=2, seed=i, domain_id=f"m{i}") for i in range(3)]
@@ -274,14 +270,13 @@ def test_stacked_forward_and_backward_equal_each_member(members, n):
     dfeat_only = backward(net, tape, dfeat=dfeat)
     for k, model in enumerate(members):
         ref = ref_forward(model, X)
-        # features, logits, probs and the activations after the shared input
-        for got, want in zip([*tape[:3], *tape.acts[1:]], [*ref[:3], *ref.acts[1:]]):
+        # features, probs and the activations after the shared input
+        for got, want in zip([*tape[:2], *tape.acts[1:]], [*ref[:2], *ref.acts[1:]]):
             assert np.array_equal(got[k], want)
         dlogits = ref_logits_grad(ref.probs, dprobs[k])
         for stacked, single in ((grad, ref_backward(model, ref, dlogits, dfeat[k])),
                                 (dfeat_only, ref_backward(model, ref, dfeat=dfeat[k]))):
-            for (gw, gb), (rw, rb) in zip([*stacked.extractor, stacked.classifier],
-                                          [*single.extractor, single.classifier]):
+            for (gw, gb), (rw, rb) in zip(stacked, single, strict=True):
                 assert np.array_equal(gw[k], rw) and np.array_equal(gb[k], rb)
 
 
@@ -292,25 +287,20 @@ def test_stacked_sgd_steps_equal_each_member(members):
     opt = init_optimizer(net, 0.05, 0.9)
     ref_opts = [init_optimizer(m, 0.05, 0.9) for m in singles]
     for _ in range(3):
-        grads = [Gradient([(rng.normal(size=l.weight.shape), rng.normal(size=l.bias.shape))
-                           for l in m.extractor],
-                          (rng.normal(size=m.classifier.weight.shape),
-                           rng.normal(size=m.classifier.bias.shape))) for m in singles]
-        sgd_step(net, Gradient(
-            [tuple(np.stack(p) for p in zip(*layer)) for layer in zip(*[g.extractor for g in grads])],
-            tuple(np.stack(p) for p in zip(*[g.classifier for g in grads])),
-        ), opt)
+        grads = [[Layer(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in m.layers]
+                 for m in singles]
+        sgd_step(net, [Layer(*(np.stack(p) for p in zip(*ls))) for ls in zip(*grads)], opt)
         for m, g, o in zip(singles, grads, ref_opts):
             ref_sgd_step(m, g, o)
     for view, single in zip(views, singles):  # the members moved with their stack
-        for a, b in zip(layers_of(view), layers_of(single)):
+        for a, b in zip(view.layers, single.layers, strict=True):
             assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
 
 def test_members_are_views_of_a_copy(members):
     net, views = stack_models(members)
-    assert all(np.shares_memory(v.extractor[0].weight, net.extractor[0].weight) for v in views)
-    assert not any(np.shares_memory(m.extractor[0].weight, net.extractor[0].weight) for m in members)
+    assert all(np.shares_memory(v.layers[0].weight, net.layers[0].weight) for v in views)
+    assert not any(np.shares_memory(m.layers[0].weight, net.layers[0].weight) for m in members)
     assert [v.meta for v in views] == [m.meta for m in members]
 
 
@@ -345,8 +335,7 @@ def assert_losses_equal_reference(probs, labels):
         assert np.array_equal(dprobs, ref_grad(*args)), loss.__name__
         got = backward(model, tape, dprobs)
         want = ref_backward(model, tape, ref_logits_grad(probs, dprobs))
-        for (gw, gb), (rw, rb) in zip([*got.extractor, got.classifier],
-                                      [*want.extractor, want.classifier]):
+        for (gw, gb), (rw, rb) in zip(got, want, strict=True):
             assert np.array_equal(gw, rw) and np.array_equal(gb, rb), loss.__name__
 
 
@@ -410,5 +399,5 @@ def test_trainer_matches_per_model_reference(domains, case):
         got = {k: getattr(row, k) for k in ref}
         assert got == ref, f"step {row.iteration} differs"
     for got, ref in zip(out.models, ref_models):
-        for a, b in zip(layers_of(got), layers_of(ref)):
+        for a, b in zip(got.layers, ref.layers, strict=True):
             assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
