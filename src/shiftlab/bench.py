@@ -8,7 +8,9 @@ Iteration counts are mini-batch steps.
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -83,61 +85,99 @@ def _data_seeds(seed: int, n_sources: int):
 
 
 def run_scenario(sources: dict, specs: list, seeds) -> list:
-    """Run a suite's scenarios on its sources (domain_id -> MoonsRecipe), seed by seed.
+    """Run a suite's scenarios on its sources (domain_id -> MoonsRecipe) at every seed.
 
-    Each seed builds the source datasets once and trains the source models
-    once, on the first spec that uses them (uda trains its own). Every spec
-    of the seed shares those models, as trainers adapt clones, and builds
-    its own target. Returns one list of records per spec, one record per
-    seed, in seed order; each is named `<scenario>-<paradigm>-s<seed>`.
-    Everything runs on the calling thread, except UDA's full-dataset MMD
-    diagnostic, which `train_uda` computes on one helper thread per run.
+    The caller builds each seed's source datasets and trains its source models
+    once, in seed order, on the first spec that uses them (uda trains its own).
+    Each (seed, spec) run builds its own target and adapts clones of them, in
+    forked worker processes, one per usable CPU (inline on one); as a run reads
+    only its inputs, the records do not depend on the worker count. Returns one
+    list of records per spec, one per seed in seed order, each named
+    `<scenario>-<paradigm>-s<seed>`. The error raised is the first failing
+    run's in (seed, spec) order.
     """
     if not seeds:
         raise ParameterError("need at least one seed")
-    runs = [[] for _ in specs]
+    jobs = []
     for seed in seeds:
         source_seeds, target_seed = _data_seeds(seed, len(sources))
         datasets = {d: r.build(s, d) for (d, r), s in zip(sources.items(), source_seeds)}
-        model_list = []
-        for spec, records in zip(specs, runs):
-            try:
-                target_eval = spec.target.build(target_seed, "target")
-                target = target_eval.unlabeled()
-                cfg = replace(spec.config, seed=seed)
-                if spec.paradigm != "uda" and not model_list:
-                    model_list = [
-                        train_source(ds, replace(SOURCE_CONFIG, seed=seed * 100 + j)).model
-                        for j, ds in enumerate(datasets.values())
-                    ]
+        models = []
+        for spec in specs:
+            if spec.paradigm != "uda" and not models:
+                try:
+                    with _context(spec, seed):
+                        models = [
+                            train_source(ds, replace(SOURCE_CONFIG, seed=seed * 100 + j)).model
+                            for j, ds in enumerate(datasets.values())
+                        ]
+                except Exception:
+                    _run_jobs(jobs)  # an earlier run's error comes first
+                    raise
+            jobs.append((spec, seed, datasets, models, target_seed))
+    records = _run_jobs(jobs)
+    return [records[i :: len(specs)] for i in range(len(specs))]
 
-                if spec.paradigm == "uda":  # trains its own model from the first source's data
-                    first = next(iter(datasets.values()))
-                    out = train_uda(first, target, cfg, eval_set=target_eval)
-                elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
-                    weights = np.full(len(model_list), 1.0 / len(model_list))
-                    acc = _ensemble_accuracy(stack_models(model_list)[0], weights, target_eval)
-                    row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
-                    out = TrainerOutput(model_list, weights, [row])
-                elif spec.paradigm == "sfda":
-                    out = train_sfda(model_list[0], target, cfg, eval_set=target_eval)
-                elif spec.paradigm == "msfda-uniform":
-                    out = train_msfda(model_list, None, target, cfg, eval_set=target_eval)
-                elif spec.paradigm == "msfda-mea":
-                    shared = {d: datasets[d] for d in spec.shared or datasets}
-                    out = train_msfda(model_list, shared, target, cfg, eval_set=target_eval)
-                elif spec.paradigm == "expanded-base":
-                    visible = [datasets[d] for d in spec.expanded_visible]
-                    out = train_expanded_base(
-                        model_list, None, target, visible, "ce-only", cfg, eval_set=target_eval
-                    )
-                run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
-                records.append(ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights))
-            except Exception as exc:
-                context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
-                exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
-                raise
-    return runs
+
+@contextmanager
+def _context(spec, seed):
+    """Prefix an error raised inside with the scenario, paradigm and seed."""
+    try:
+        yield
+    except Exception as exc:
+        context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
+        exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
+        raise
+
+
+def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
+    """One run of `spec` at `seed` on that seed's source datasets and models."""
+    with _context(spec, seed):
+        target_eval = spec.target.build(target_seed, "target")
+        target = target_eval.unlabeled()
+        cfg = replace(spec.config, seed=seed)
+        if spec.paradigm == "uda":  # trains its own model from the first source's data
+            first = next(iter(datasets.values()))
+            out = train_uda(first, target, cfg, eval_set=target_eval)
+        elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
+            weights = np.full(len(models), 1.0 / len(models))
+            acc = _ensemble_accuracy(stack_models(models)[0], weights, target_eval)
+            row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
+            out = TrainerOutput(models, weights, [row])
+        elif spec.paradigm == "sfda":
+            out = train_sfda(models[0], target, cfg, eval_set=target_eval)
+        elif spec.paradigm == "msfda-uniform":
+            out = train_msfda(models, None, target, cfg, eval_set=target_eval)
+        elif spec.paradigm == "msfda-mea":
+            shared = {d: datasets[d] for d in spec.shared or datasets}
+            out = train_msfda(models, shared, target, cfg, eval_set=target_eval)
+        elif spec.paradigm == "expanded-base":
+            visible = [datasets[d] for d in spec.expanded_visible]
+            out = train_expanded_base(
+                models, None, target, visible, "ce-only", cfg, eval_set=target_eval
+            )
+        run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
+        return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
+
+
+def _in_errstate(errstate, job) -> ExperimentRecord:
+    with np.errstate(**errstate):
+        return _run_spec(*job)
+
+
+def _run_jobs(jobs) -> list:
+    """`_run_spec` of each job in order: inline on one usable CPU, else in forked
+    workers under the caller's numpy error state. On the first failing job, the
+    jobs not started are cancelled and the workers joined before it is raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(len(jobs), cpus) < 2:
+        return [_run_spec(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=fork) as pool:
+        return list(pool.map(_in_errstate, [np.geterr()] * len(jobs), jobs))
 
 
 def iterations_to_convergence(

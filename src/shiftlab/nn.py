@@ -116,6 +116,8 @@ def init_model(
 def stack_models(models: list[SourceModel]) -> tuple[SourceModel, list[SourceModel]]:
     """A copy of same-shaped `models` as one stack, and its members: models
     whose arrays are views of the stack, so stepping the stack steps them."""
+    if not models:
+        raise ParameterError("need at least one model to stack")
     if len({tuple((w.shape, b.shape) for w, b in m.layers) for m in models}) != 1:
         raise ParameterError("stacked models must share one architecture")
     stacked = [

@@ -139,11 +139,13 @@ def _mmd_blocks(X, Y, bandwidths):
         raise ParameterError("X and Y must be non-empty 2-D arrays with matching column count")
     if bandwidths is not None and not (len(bandwidths) and all(0 < b < np.inf for b in bandwidths)):
         raise ParameterError(f"bandwidths must be non-empty, positive and finite, got {bandwidths}")
+    pooled = np.vstack([X, Y])
+    if not np.isfinite(pooled).all():
+        raise ParameterError("X and Y must be finite")
     n, size = len(X), len(X) + len(Y)
     scratch = getattr(_scratch, "pooled", None)
     if scratch is None or scratch.size < size * size:
         scratch = _scratch.pooled = np.empty(size * size)
-    pooled = np.vstack([X, Y])
     sq = _sq_dists(pooled, pooled, out=scratch[: size * size].reshape(size, size))
     if bandwidths is None:
         bandwidths = median_bandwidths(sq)

@@ -1,3 +1,6 @@
+import ast
+import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -15,6 +18,17 @@ from shiftlab.bench import (
 )
 from shiftlab.errors import ParameterError
 from shiftlab.records import CSV_HEADER, ExperimentRecord, TrajectoryRow, final_accuracy
+
+
+def log_line(path, value):
+    """Append `repr(value)` as one line: a spy in a forked worker reaches a file."""
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write(repr(value) + "\n")
+
+
+def read_lines(path):
+    lines = path.read_text().splitlines() if path.exists() else []
+    return [ast.literal_eval(line) for line in lines]
 
 
 def make_rows(accs, every=10):
@@ -101,13 +115,13 @@ class TestRunScenario:
             assert iterations_to_convergence(rec.rows) == 0
             assert 0.0 <= final_accuracy(rec.rows) <= 1.0
 
-    def test_records_are_named_once_and_carry_their_weights(self, monkeypatch):
-        estimates = []
+    def test_records_are_named_once_and_carry_their_weights(self, monkeypatch, tmp_path):
+        log = tmp_path / "estimates.log"
         estimate = mea.estimate
 
         def spying(*args, **kwargs):
             result = estimate(*args, **kwargs)
-            estimates.append(result[0].w_final.tolist())
+            log_line(log, result[0].w_final.tolist())
             return result
 
         monkeypatch.setattr(mea, "estimate", spying)
@@ -117,6 +131,7 @@ class TestRunScenario:
             for paradigm in bench.PARADIGMS
         ]
         runs = run_scenario(SOURCES, specs, [2])
+        estimates = read_lines(log)
         (mea_weights,) = estimates
         assert mea_weights != [0.5, 0.5]
         weights = {"uda": [1.0], "sfda": [1.0], "msfda-mea": mea_weights}
@@ -161,6 +176,28 @@ class TestRunScenario:
         spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60))
         with pytest.raises(ParameterError, match=r"^scenario 'tiny' \(paradigm sfda, seed 4\): boom$"):
             run_scenario({"a": MoonsRecipe(n=60)}, [spec], [4])
+
+    def test_a_run_fails_before_a_later_seeds_source_training(self, monkeypatch):
+        train_source, train_sfda = bench.train_source, bench.train_sfda
+
+        def failing_at_seed_1(ds, cfg, *args, **kwargs):
+            if cfg.seed == 100:
+                raise ParameterError("source boom")
+            return train_source(ds, cfg, *args, **kwargs)
+
+        def failing(model, target, cfg, **kwargs):
+            raise ParameterError(f"boom {cfg.seed}")
+
+        monkeypatch.setattr(bench, "train_source", failing_at_seed_1)
+        monkeypatch.setattr(bench, "train_sfda", failing)
+        sources, spec = {"a": MoonsRecipe(n=60)}, ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60))
+        message = r"^scenario 'tiny' \(paradigm sfda, seed 0\): boom 0$"  # seed 0's run
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(sources, [spec], [0, 1])
+        monkeypatch.setattr(bench, "train_sfda", train_sfda)
+        message = r"^scenario 'tiny' \(paradigm sfda, seed 1\): source boom$"
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(sources, [spec], [0, 1])
 
 
 def _deterministic_part(record):
@@ -212,14 +249,21 @@ class TestSourceModels:
 
 
 class TestSharedData:
-    def test_mea_scores_on_the_shared_sources_only(self, monkeypatch):
-        received = []
-        estimate = mea.estimate
+    def test_mea_scores_on_the_shared_sources_only(self, monkeypatch, tmp_path):
+        # the runs may call estimate in either order: each logs to its spec's file
+        run = {}  # in the process running a spec: that spec's index
+        estimate, run_spec = mea.estimate, bench._run_spec
+
+        def tagging(spec, *args):
+            run["index"] = specs.index(spec)
+            return run_spec(spec, *args)
 
         def counting(models, datasets, *args, **kwargs):
-            received.append([(d, ds.domain_id) for d, ds in datasets.items()])
+            call = [(d, ds.domain_id) for d, ds in datasets.items()]
+            log_line(tmp_path / f"{run['index']}.log", call)
             return estimate(models, datasets, *args, **kwargs)
 
+        monkeypatch.setattr(bench, "_run_spec", tagging)
         monkeypatch.setattr(mea, "estimate", counting)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
@@ -227,7 +271,66 @@ class TestSharedData:
             for shared in (("a",), None)
         ]
         run_scenario(SOURCES, specs, [0])
+        received = [call for i in range(len(specs)) for call in read_lines(tmp_path / f"{i}.log")]
         assert received == [[("a", "a")], [("a", "a"), ("b", "b")]]
+
+
+def _usable_cpus(monkeypatch, cpus):
+    """Make `run_scenario` see `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestWorkers:
+    def test_records_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+        run_spec = bench._run_spec
+
+        def recording(*args):
+            log_line(pids, os.getpid())
+            return run_spec(*args)
+
+        monkeypatch.setattr(bench, "_run_spec", recording)
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", paradigm, target, TINY, expanded_visible=["b"])
+            for paradigm in bench.PARADIGMS
+        ]
+        _usable_cpus(monkeypatch, 2)
+        forked = run_scenario(SOURCES, specs, [0, 1])
+        assert len(read_lines(pids)) == 12 and os.getpid() not in read_lines(pids)
+        _usable_cpus(monkeypatch, 1)
+        inline = run_scenario(SOURCES, specs, [0, 1])
+        assert read_lines(pids)[12:] == [os.getpid()] * 12
+        assert [[_deterministic_part(r) for r in runs] for runs in forked] == [
+            [_deterministic_part(r) for r in runs] for runs in inline
+        ]
+
+    def test_no_worker_outlives_a_return_or_an_error(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        threads = set(threading.enumerate())
+        sources = {"a": MoonsRecipe(n=60)}
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60, rotation=20.0), TINY)
+        run_scenario(sources, [spec], [0, 1, 2])
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+        def failing(model, target, cfg, **kwargs):
+            raise ParameterError(f"boom {cfg.seed}")
+
+        monkeypatch.setattr(bench, "train_sfda", failing)
+        message = r"^scenario 'tiny' \(paradigm sfda, seed 0\): boom 0$"  # the first run's
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(sources, [spec], [0, 1, 2])
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    def test_runs_keep_the_callers_error_state(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        cfg = AdaptationConfig(iterations=5, learning_rate=1e308)  # the next matmul overflows
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60, rotation=20.0), cfg)
+        message = r"^scenario 'tiny' \(paradigm sfda, seed 0\): overflow"
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=message):
+            run_scenario(SOURCES, [spec], [0, 1])
 
 
 class TestSuiteGuards:

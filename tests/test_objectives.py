@@ -466,6 +466,17 @@ class TestMmd:
         with pytest.raises(ParameterError):
             fn(X, Y)
 
+    @pytest.mark.parametrize("fn", [mmd_rbf, mmd_rbf_grad])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_non_finite_samples(self, fn, bad, side):
+        X, Y = np.zeros((3, 2)), np.ones((4, 2))
+        (X if side == "x" else Y)[1, 0] = bad
+        with pytest.raises(ParameterError, match="^X and Y must be finite$"):
+            fn(X, Y)
+        with pytest.raises(ParameterError, match="^X and Y must be finite$"):
+            fn(X, Y, [1.0])
+
     def test_bandwidths_may_be_an_array(self):
         X, Y = np.zeros((3, 2)), np.ones((4, 2))
         assert mmd_rbf(X, Y, np.array([0.7, 2.0])) == mmd_rbf(X, Y, [0.7, 2.0])

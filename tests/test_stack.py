@@ -309,6 +309,11 @@ def test_stack_refuses_models_of_two_architectures(members):
         stack_models([members[0], init_model(2, 8, 3, seed=0)])
 
 
+def test_stack_refuses_no_models():
+    with pytest.raises(ParameterError, match="^need at least one model to stack$"):
+        stack_models([])
+
+
 # ---------------------------------------------------------------------------
 # Losses: each (value, dprobs) call against the reference value and gradient,
 # and backward's softmax chain against the reference chain.
