@@ -3,7 +3,7 @@
 Source-freedom is enforced by signature: the SFDA/MSFDA trainers take no
 source dataset argument at all. Evaluation labels are supplied by the
 harness through `eval_set` and are used only for accuracy logging, never
-for gradients.
+for gradients. A float overflow, invalid value or division by zero raises.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ from .nn import (
     sgd_step,
     stack_models,
 )
-from .objectives import cross_entropy, ensemble_weights, im_loss, mix_probs, mmd_rbf, mmd_rbf_grad
+from .objectives import (
+    _cross_entropy, _diversity, _entropy, ensemble_weights, mix_probs, mmd_rbf, mmd_rbf_grad
+)
 from .records import TrajectoryRow
 
 EVAL_INTERVAL = 10
@@ -131,6 +133,7 @@ def _diagnose(snapshots, source, target, values, errors) -> None:
             errors.append(exc)  # the trainer re-raises it on its own thread
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")  # as in cli.main
 def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     """Source cross-entropy from a fresh seeded model, plus `lambda_uda` times
     the MMD between source and target batch features when there is a target.
@@ -156,7 +159,7 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
         idx = next(src_stream)
         xb, yb = source.features[idx], source.labels[idx]
         tape_s = forward(model, xb)
-        ce, dce = cross_entropy(tape_s.probs, yb)
+        ce, dce = _cross_entropy(tape_s.probs, yb)
         if lam == 0:
             sgd_step(model, backward(model, tape_s, dce), opt)
             return {"loss_total": ce, "loss_ce": ce}
@@ -241,6 +244,7 @@ def _ensemble_pseudo_labels(net: SourceModel, weights, X) -> np.ndarray:
     return assign()
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _adapt_loop(
     models,
     weights,
@@ -279,10 +283,11 @@ def _adapt_loop(
         tape = forward(net, target.features[idx])
         ens = mix_probs(wa, tape.probs)
 
-        im, dprobs = im_loss(ens)
+        (ent, d_ent), (div, d_div) = _entropy(ens), _diversity(ens)
+        im, dprobs = ent + div, d_ent + d_div
         ce_value = 0.0
         if cfg.beta_pseudo > 0:
-            ce_value, dce = cross_entropy(ens, pl[idx])
+            ce_value, dce = _cross_entropy(ens, pl[idx])
             dprobs = dprobs + cfg.beta_pseudo * dce
 
         vis_ce_value = 0.0
@@ -296,7 +301,7 @@ def _adapt_loop(
                 xs, ys = vs.features[vidx], vs.labels[vidx]
                 tape_s = forward(net, xs)
                 ens_s = mix_probs(wa, tape_s.probs)
-                ce_s, dce_s = cross_entropy(ens_s, ys)
+                ce_s, dce_s = _cross_entropy(ens_s, ys)
                 vis_ce_value += scale * ce_s
                 gs = None
                 if mode == "ce+mmd" and lam > 0:

@@ -8,6 +8,7 @@ Iteration counts are mini-batch steps.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from .adapt import (
     train_uda,
 )
 from .datagen import Dataset, gen_two_moons, make_adversarial_source, split
-from .errors import ParameterError
+from .errors import ParameterError, WorkerError
 from .nn import stack_models
 from .records import ExperimentRecord, TrajectoryRow, accuracies, final_accuracy, write_trajectory
 
@@ -87,97 +88,127 @@ def _data_seeds(seed: int, n_sources: int):
 def run_scenario(sources: dict, specs: list, seeds) -> list:
     """Run a suite's scenarios on its sources (domain_id -> MoonsRecipe) at every seed.
 
-    The caller builds each seed's source datasets and trains its source models
-    once, in seed order, on the first spec that uses them (uda trains its own).
-    Each (seed, spec) run builds its own target and adapts clones of them, in
-    forked worker processes, one per usable CPU (inline on one); as a run reads
-    only its inputs, the records do not depend on the worker count. Returns one
-    list of records per spec, one per seed in seed order, each named
-    `<scenario>-<paradigm>-s<seed>`. The error raised is the first failing
-    run's in (seed, spec) order.
+    Every job goes to one pool of forked worker processes, one per usable CPU
+    (inline on one, in seed order), as `overfitting_suite`'s seeds go to
+    theirs. Each seed's source models train once, one job per source; each
+    (seed, spec) run starts when its seed's models are back (uda, which trains
+    its own, at once), builds its own target and adapts clones of them. As a
+    job reads only its inputs, the records do not depend on the worker count.
+    Returns one list of records per spec, one per seed in seed order, each
+    named `<scenario>-<paradigm>-s<seed>`. The error raised is the first
+    failing run's in (seed, spec) order; a failed source training fails the
+    first run that uses its models.
     """
     if not seeds:
         raise ParameterError("need at least one seed")
-    jobs = []
-    for seed in seeds:
-        source_seeds, target_seed = _data_seeds(seed, len(sources))
-        datasets = {d: r.build(s, d) for (d, r), s in zip(sources.items(), source_seeds)}
-        models = []
-        for spec in specs:
-            if spec.paradigm != "uda" and not models:
-                try:
-                    with _context(spec, seed):
-                        models = [
-                            train_source(ds, replace(SOURCE_CONFIG, seed=seed * 100 + j)).model
-                            for j, ds in enumerate(datasets.values())
-                        ]
-                except Exception:
-                    _run_jobs(jobs)  # an earlier run's error comes first
-                    raise
-            jobs.append((spec, seed, datasets, models, target_seed))
-    records = _run_jobs(jobs)
+    need_models = any(spec.paradigm != "uda" for spec in specs)
+    with _pool(len(seeds) * (len(specs) + len(sources) * need_models)) as submit:
+        jobs = []  # per (seed, spec): its context, and its started run or its inputs
+        for seed in seeds:
+            source_seeds, target_seed = _data_seeds(seed, len(sources))
+            datasets = {d: r.build(s, d) for (d, r), s in zip(sources.items(), source_seeds)}
+            models = [submit("train_source", ds, replace(SOURCE_CONFIG, seed=seed * 100 + j))
+                      for j, ds in enumerate(datasets.values()) if need_models]
+            for spec in specs:
+                context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
+                if spec.paradigm == "uda":  # trains its own model, so it starts at once
+                    jobs.append((context, submit("_run_spec", spec, seed, datasets, [], target_seed)))
+                else:
+                    jobs.append((context, [spec, seed, datasets, models, target_seed]))
+        runs = []
+        for context, job in jobs:
+            try:
+                if isinstance(job, list):  # starts once its seed's models are back
+                    job[3] = _wait(context, lambda: [model().model for model in job[3]])
+                    job = submit("_run_spec", *job)
+            except Exception:
+                for run in runs:
+                    _wait(*run)  # an earlier run's error comes first
+                raise
+            runs.append((context, job))
+        records = [_wait(*run) for run in runs]
     return [records[i :: len(specs)] for i in range(len(specs))]
 
 
-@contextmanager
-def _context(spec, seed):
-    """Prefix an error raised inside with the scenario, paradigm and seed."""
+def _wait(context, result):
+    """`result()`, an error it raises prefixed with `context`."""
     try:
-        yield
+        return result()
     except Exception as exc:
-        context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
         exc.args = (f"{context}: {exc}",) + exc.args[1:] if exc.args else (context,)
         raise
 
 
 def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
     """One run of `spec` at `seed` on that seed's source datasets and models."""
-    with _context(spec, seed):
-        target_eval = spec.target.build(target_seed, "target")
-        target = target_eval.unlabeled()
-        cfg = replace(spec.config, seed=seed)
-        if spec.paradigm == "uda":  # trains its own model from the first source's data
-            first = next(iter(datasets.values()))
-            out = train_uda(first, target, cfg, eval_set=target_eval)
-        elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
-            weights = np.full(len(models), 1.0 / len(models))
-            acc = _ensemble_accuracy(stack_models(models)[0], weights, target_eval)
-            row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
-            out = TrainerOutput(models, weights, [row])
-        elif spec.paradigm == "sfda":
-            out = train_sfda(models[0], target, cfg, eval_set=target_eval)
-        elif spec.paradigm == "msfda-uniform":
-            out = train_msfda(models, None, target, cfg, eval_set=target_eval)
-        elif spec.paradigm == "msfda-mea":
-            shared = {d: datasets[d] for d in spec.shared or datasets}
-            out = train_msfda(models, shared, target, cfg, eval_set=target_eval)
-        elif spec.paradigm == "expanded-base":
-            visible = [datasets[d] for d in spec.expanded_visible]
-            out = train_expanded_base(
-                models, None, target, visible, "ce-only", cfg, eval_set=target_eval
-            )
-        run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
-        return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
+    target_eval = spec.target.build(target_seed, "target")
+    target = target_eval.unlabeled()
+    cfg = replace(spec.config, seed=seed)
+    if spec.paradigm == "uda":  # trains its own model from the first source's data
+        first = next(iter(datasets.values()))
+        out = train_uda(first, target, cfg, eval_set=target_eval)
+    elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
+        weights = np.full(len(models), 1.0 / len(models))
+        acc = _ensemble_accuracy(stack_models(models)[0], weights, target_eval)
+        row = TrajectoryRow(iteration=0, loss_total=0.0, acc_target=acc)
+        out = TrainerOutput(models, weights, [row])
+    elif spec.paradigm == "sfda":
+        out = train_sfda(models[0], target, cfg, eval_set=target_eval)
+    elif spec.paradigm == "msfda-uniform":
+        out = train_msfda(models, None, target, cfg, eval_set=target_eval)
+    elif spec.paradigm == "msfda-mea":
+        shared = {d: datasets[d] for d in spec.shared or datasets}
+        out = train_msfda(models, shared, target, cfg, eval_set=target_eval)
+    elif spec.paradigm == "expanded-base":
+        visible = [datasets[d] for d in spec.expanded_visible]
+        out = train_expanded_base(
+            models, None, target, visible, "ce-only", cfg, eval_set=target_eval
+        )
+    run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
+    return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
 
 
-def _in_errstate(errstate, job) -> ExperimentRecord:
+def _call(errstate, name, *args):
+    """Module function `name` (pickled by name) on `args` in the caller's errstate."""
     with np.errstate(**errstate):
-        return _run_spec(*job)
+        return globals()[name](*args)
 
 
-def _run_jobs(jobs) -> list:
-    """`_run_spec` of each job in order: inline on one usable CPU, else in forked
-    workers under the caller's numpy error state. On the first failing job, the
-    jobs not started are cancelled and the workers joined before it is raised."""
+@contextmanager
+def _pool(n_jobs):
+    """Yield `submit(name, *args)`, which starts `_call` of a job in one of
+    min(n_jobs, usable CPUs) forked workers (below two: inline, when its result is
+    first asked for) and returns a callable waiting for its result. On an error the
+    jobs not started are cancelled and the workers joined; a job that a dead
+    worker leaves unfinished raises `WorkerError`."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(len(jobs), cpus) < 2:
-        return [_run_spec(*job) for job in jobs]
+    if min(n_jobs, cpus) < 2:
+        yield lambda *job: functools.cache(functools.partial(_call, np.geterr(), *job))
+        return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=fork) as pool:
-        return list(pool.map(_in_errstate, [np.geterr()] * len(jobs), jobs))
+    def submit(*job):
+        try:
+            future = pool.submit(_call, np.geterr(), *job)
+        except BrokenProcessPool as exc:
+            (future := Future()).set_exception(exc)
+
+        def result():
+            try:
+                return future.result()
+            except BrokenProcessPool:
+                what = "source training" if job[0] == "train_source" else "run"
+                raise WorkerError(f"a worker process ended abruptly before its {what} finished") from None
+        return result
+
+    with ProcessPoolExecutor(min(n_jobs, cpus), mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield submit
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def iterations_to_convergence(
@@ -316,51 +347,45 @@ def overfitting_suite(seeds, out_dir=None) -> dict:
     """Adapt on 90% of a 600-point target, compare train/test accuracy gap."""
     if not seeds:
         raise ParameterError("need at least one seed")
-    per_seed, records = [], []
-    for seed in seeds:
-        (src_seed,), tgt_seed = _data_seeds(seed, 1)
-        src = MoonsRecipe(rotation=0.0).build(src_seed, "src")
-        tgt = MoonsRecipe(rotation=30.0, n=600).build(tgt_seed, "target")
-        tr, te = split(tgt, 0.9, seed=seed)
-        # isolation audit: portions are disjoint and cover the target exactly
-        merged = np.vstack([tr.features, te.features])
-        isolation_ok = bool(
-            np.array_equal(
-                np.sort(merged.view([("", merged.dtype)] * merged.shape[1]), axis=0),
-                np.sort(tgt.features.view([("", tgt.features.dtype)] * tgt.features.shape[1]), axis=0),
-            )
-        ) and tr.n + te.n == tgt.n
-        cfg = replace(ADAPT_CONFIG, seed=seed)
-        src_model = train_source(src, replace(SOURCE_CONFIG, seed=seed)).model
-        out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
-        net = stack_models(out.models)[0]
-        acc_train = _ensemble_accuracy(net, out.weights, tr)
-        acc_test = _ensemble_accuracy(net, out.weights, te)
-        gap = abs(acc_train - acc_test)
-        records.append(
-            ExperimentRecord(f"sfda->target-s{seed}", "sfda", "sfda", out.rows, out.weights)
-        )
-        per_seed.append(
-            {
-                "seed": seed,
-                "acc_train": acc_train,
-                "acc_test": acc_test,
-                "gap": gap,
-                "gap_ok": gap <= 0.03,
-                "isolation_ok": isolation_ok,
-            }
-        )
-
+    with _pool(len(seeds)) as submit:
+        runs = [(f"seed {seed}", submit("_overfit_seed", seed)) for seed in seeds]
+        records, per_seed = zip(*(_wait(*run) for run in runs))
     report = {
         "suite": "overfitting",
-        "per_seed": per_seed,
+        "per_seed": list(per_seed),
         "gap_majority": _majority(p["gap_ok"] for p in per_seed),
         "isolation_all": all(p["isolation_ok"] for p in per_seed),
     }
     report["passed"] = report["gap_majority"] and report["isolation_all"]
     if out_dir is not None:
-        emit_report(records, out_dir, suite_summary=report)
+        emit_report(list(records), out_dir, suite_summary=report)
     return report
+
+
+def _overfit_seed(seed):
+    """One overfitting seed: its SFDA record and its per-seed report entry."""
+    (src_seed,), tgt_seed = _data_seeds(seed, 1)
+    src = MoonsRecipe(rotation=0.0).build(src_seed, "src")
+    tgt = MoonsRecipe(rotation=30.0, n=600).build(tgt_seed, "target")
+    tr, te = split(tgt, 0.9, seed=seed)
+    # isolation audit: portions are disjoint and cover the target exactly
+    merged = np.vstack([tr.features, te.features])
+    isolation_ok = bool(
+        np.array_equal(
+            np.sort(merged.view([("", merged.dtype)] * merged.shape[1]), axis=0),
+            np.sort(tgt.features.view([("", tgt.features.dtype)] * tgt.features.shape[1]), axis=0),
+        )
+    ) and tr.n + te.n == tgt.n
+    cfg = replace(ADAPT_CONFIG, seed=seed)
+    src_model = train_source(src, replace(SOURCE_CONFIG, seed=seed)).model
+    out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
+    net = stack_models(out.models)[0]
+    acc_train = _ensemble_accuracy(net, out.weights, tr)
+    acc_test = _ensemble_accuracy(net, out.weights, te)
+    gap = abs(acc_train - acc_test)
+    record = ExperimentRecord(f"sfda->target-s{seed}", "sfda", "sfda", out.rows, out.weights)
+    return record, dict(seed=seed, acc_train=acc_train, acc_test=acc_test, gap=gap,
+                        gap_ok=gap <= 0.03, isolation_ok=isolation_ok)
 
 
 def fusion_suite(seeds, out_dir=None) -> dict:

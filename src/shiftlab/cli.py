@@ -1,7 +1,7 @@
 """Command-line surface: gen, train-source, adapt, estimate, bench, verify, defaults.
 
 Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage, config or
-file-format error, or an unreadable input file, 3 numeric failure.
+file-format error, or an unreadable input file, 3 numeric failure, 4 a dead worker.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .adapt import (
     train_uda,
 )
 from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
-from .errors import NumericError, ParameterError, ShiftLabError
+from .errors import NumericError, ParameterError, ShiftLabError, WorkerError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
 from .records import final_accuracy, write_trajectory
 
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER = 4
 
 CONFIG_SECTIONS = {"adapt"}
 
@@ -401,9 +402,9 @@ def main(argv=None) -> int:
         # an overflowing or invalid float is a numeric error, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (NumericError, FloatingPointError) as exc:
+    except (NumericError, FloatingPointError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_WORKER if isinstance(exc, WorkerError) else EXIT_NUMERIC
     # an input path that cannot be read is a usage error too
     except (ShiftLabError, FileNotFoundError, IsADirectoryError, PermissionError,
             UnicodeDecodeError) as exc:

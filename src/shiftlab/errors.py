@@ -19,3 +19,7 @@ class NumericError(ShiftLabError, ArithmeticError):
 
 class ExclusionError(ShiftLabError, ValueError):
     """A model was asked to score its own training domain as a proxy."""
+
+
+class WorkerError(ShiftLabError):
+    """A worker process ended abruptly (killed, out of memory) before its job finished."""

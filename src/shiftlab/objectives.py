@@ -3,7 +3,8 @@
 Every probability fed to a logarithm is guarded by a single global EPS. Each
 loss is one call that validates its probability rows once and returns its
 value together with its analytic gradient on those rows; `nn.backward`
-chains that gradient through the softmax.
+chains that gradient through the softmax. The trainers call the unchecked
+terms on rows they just built: a NaN there reaches `nn.sgd_step`, which refuses it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
         raise ParameterError("labels must be a length-batch vector")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ParameterError("label out of range")
+    return _cross_entropy(probs, labels)
+
+
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     n = len(labels)
     rows = np.arange(n)
     picked = probs[rows, labels] + EPS

@@ -17,7 +17,7 @@ from shiftlab.adapt import (
     train_uda,
 )
 from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
-from shiftlab.errors import ParameterError
+from shiftlab.errors import NumericError, ParameterError
 from shiftlab.nn import (
     add_gradient,
     backward,
@@ -523,18 +523,22 @@ class TestExpandedBase:
 
 
 class TestProbabilityChecks:
-    """Each loss call checks its probability rows once, so a step makes one check
-    per loss: the source CE for source and uda; IM and the pseudo-label CE for
-    sfda and msfda; and for expanded those plus one CE per visible source."""
+    """The trainers call the unchecked loss terms on the softmax rows they just
+    built, so a step makes no probability check and `per_step` loss calls: the
+    source CE for source and uda; IM and the pseudo-label CE for sfda and
+    msfda; and for expanded those plus one CE per visible source."""
 
     @pytest.mark.parametrize("trainer, visible, per_step", [
         ("source", 0, 1), ("uda", 0, 1), ("sfda", 0, 2), ("msfda", 0, 2),
         ("expanded", 1, 3), ("expanded", 2, 4),
     ])
     def test_checks_per_step(self, monkeypatch, trainer, visible, per_step):
-        calls = []
+        calls, losses = [], []
         check = objectives._check_probs
         monkeypatch.setattr(objectives, "_check_probs", lambda p: calls.append(1) or check(p))
+        for name in ("_cross_entropy", "_entropy"):  # IM calls _entropy once
+            term = getattr(adapt, name)
+            monkeypatch.setattr(adapt, name, lambda *a, term=term: losses.append(1) or term(*a))
         src = moons(seed=4)
         tgt = moons(rotation=20.0, seed=5, domain_id="tgt").unlabeled()
         models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(2)]
@@ -545,4 +549,25 @@ class TestProbabilityChecks:
             train_expanded_base(models, [0.5, 0.5], tgt, sources, "ce+mmd", cfg)
         else:
             TRAINERS[trainer](src, tgt, models, cfg, None)
-        assert len(calls) == per_step * cfg.iterations
+        assert calls == []
+        assert len(losses) == per_step * cfg.iterations
+
+    @pytest.mark.parametrize("trainer", ["source", "uda", "sfda", "msfda", "expanded"])
+    def test_a_nan_batch_ends_in_numeric_error(self, monkeypatch, trainer):
+        def poisoned(model, X):
+            tape = forward(model, X)
+            tape.probs[..., 0, :] = np.nan  # the first row of each member
+            return tape
+
+        monkeypatch.setattr(adapt, "forward", poisoned)
+        src = moons(seed=4)
+        tgt = moons(rotation=20.0, seed=5, domain_id="tgt").unlabeled()
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(2)]
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            TRAINERS[trainer](src, tgt, models, AdaptationConfig(iterations=2), None)
+
+    def test_an_overflow_raises_whatever_the_callers_errstate(self):
+        cfg = AdaptationConfig(iterations=5, learning_rate=1e308)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+            train_source(moons(seed=4), cfg)
+        assert np.geterr()["over"] == "warn"  # the caller's state is back

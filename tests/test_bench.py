@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from shiftlab import bench, mea
+from shiftlab import bench, cli, mea
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
     MoonsRecipe,
@@ -16,7 +16,7 @@ from shiftlab.bench import (
     overfitting_suite,
     run_scenario,
 )
-from shiftlab.errors import ParameterError
+from shiftlab.errors import ParameterError, WorkerError
 from shiftlab.records import CSV_HEADER, ExperimentRecord, TrajectoryRow, final_accuracy
 
 
@@ -142,6 +142,7 @@ class TestRunScenario:
 
     def test_seeds_run_in_order_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setenv("SHIFTLAB_THREADS", "5")  # once selected a thread pool
+        _usable_cpus(monkeypatch, 1)  # on more CPUs the sources train in workers
         calls = []
         train_source = bench.train_source
 
@@ -209,12 +210,12 @@ SOURCES = {"a": MoonsRecipe(n=60, rotation=5.0), "b": MoonsRecipe(n=60, rotation
 
 
 class TestSourceModels:
-    def test_each_source_is_trained_once_per_seed(self, monkeypatch):
-        calls = []
+    def test_each_source_is_trained_once_per_seed(self, monkeypatch, tmp_path):
+        log = tmp_path / "sources.log"
         train_source = bench.train_source
 
         def counting(ds, cfg, *args, **kwargs):
-            calls.append((ds.domain_id, cfg.seed))
+            log_line(log, (ds.domain_id, cfg.seed))
             return train_source(ds, cfg, *args, **kwargs)
 
         monkeypatch.setattr(bench, "train_source", counting)
@@ -224,7 +225,7 @@ class TestSourceModels:
             for paradigm in ("source-only", "uda", "msfda-uniform")
         ]
         run_scenario(SOURCES, specs, [0, 1])
-        assert calls == [("a", 0), ("b", 1), ("a", 100), ("b", 101)]
+        assert sorted(read_lines(log)) == [("a", 0), ("a", 100), ("b", 1), ("b", 101)]
 
     def test_specs_share_models_and_match_runs_alone(self):
         # the adapting spec runs first: had it adapted the shared models in
@@ -280,6 +281,18 @@ def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def _dying_in_a_worker():
+    """A job that ends its worker process abruptly; in the caller it only raises."""
+    caller = os.getpid()
+
+    def dying(*args, **kwargs):
+        if os.getpid() == caller:
+            raise AssertionError("the job ran in the calling process")
+        os._exit(1)
+
+    return dying
+
+
 class TestWorkers:
     def test_records_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids.log"
@@ -331,6 +344,87 @@ class TestWorkers:
         message = r"^scenario 'tiny' \(paradigm sfda, seed 0\): overflow"
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=message):
             run_scenario(SOURCES, [spec], [0, 1])
+
+
+    def test_jobs_start_in_the_callers_error_state(self, monkeypatch, tmp_path):
+        states = tmp_path / "states.log"
+        run_spec = bench._run_spec
+
+        def recording(*args):
+            log_line(states, (os.getpid(), np.geterr()))
+            return run_spec(*args)
+
+        monkeypatch.setattr(bench, "_run_spec", recording)
+        _usable_cpus(monkeypatch, 2)
+        spec = ScenarioSpec("tiny", "source-only", MoonsRecipe(n=60, rotation=20.0), TINY)
+        with np.errstate(under="raise", divide="ignore"):  # no trainer sets either
+            expected = np.geterr()
+            run_scenario(SOURCES, [spec], [0, 1])
+        assert [state for _, state in read_lines(states)] == [expected] * 2
+        assert os.getpid() not in {pid for pid, _ in read_lines(states)}
+
+    def test_a_source_training_fails_in_a_worker(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+        train_source = bench.train_source
+
+        def failing_at_seed_1(ds, cfg, *args, **kwargs):
+            log_line(pids, os.getpid())
+            if cfg.seed == 101:
+                raise ParameterError("source boom")
+            return train_source(ds, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "train_source", failing_at_seed_1)
+        _usable_cpus(monkeypatch, 2)
+        specs = [ScenarioSpec("tiny", paradigm, MoonsRecipe(n=60, rotation=20.0), TINY)
+                 for paradigm in ("uda", "msfda-uniform", "sfda")]
+        message = r"^scenario 'tiny' \(paradigm msfda-uniform, seed 1\): source boom$"
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(SOURCES, specs, [0, 1])
+        assert os.getpid() not in read_lines(pids)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("job", ["source training", "run"])
+    def test_a_dead_worker_raises_one_error_naming_its_job(self, monkeypatch, job):
+        dying = _dying_in_a_worker()
+
+        monkeypatch.setattr(bench, "train_source" if job == "source training" else "_run_spec", dying)
+        _usable_cpus(monkeypatch, 2)
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60, rotation=20.0), TINY)
+        message = (r"^scenario 'tiny' \(paradigm sfda, seed 0\): "
+                   rf"a worker process ended abruptly before its {job} finished$")
+        with pytest.raises(WorkerError, match=message):
+            run_scenario({"a": MoonsRecipe(n=60)}, [spec], [0])
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_exits_4_with_one_error_line(self, monkeypatch, tmp_path, capfd):
+        monkeypatch.setattr(bench, "_overfit_seed", _dying_in_a_worker())
+        _usable_cpus(monkeypatch, 2)
+        code = cli.main(["bench", "overfitting", "--seed-list", "0,1", "--out", str(tmp_path)])
+        out, err = capfd.readouterr()
+        assert (code, out) == (4, "")
+        assert err == "error: seed 0: a worker process ended abruptly before its run finished\n"
+        assert multiprocessing.active_children() == []
+
+    def test_overfitting_does_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+        overfit_seed = bench._overfit_seed
+
+        def recording(seed):
+            log_line(pids, os.getpid())
+            return overfit_seed(seed)
+
+        monkeypatch.setattr(bench, "_overfit_seed", recording)
+        reports = {}
+        for cpus in (2, 1):
+            _usable_cpus(monkeypatch, cpus)
+            reports[cpus] = overfitting_suite([0, 1], tmp_path / str(cpus))
+        assert os.getpid() not in read_lines(pids)[:2]
+        assert read_lines(pids)[2:] == [os.getpid()] * 2
+        assert reports[1] == reports[2] and [p["seed"] for p in reports[1]["per_seed"]] == [0, 1]
+        for name in ("summary.report", "summary.txt", "run_sfda-_target-s0.csv", "run_sfda-_target-s1.csv"):
+            forked, inline = ((tmp_path / d / name).read_text().splitlines() for d in ("2", "1"))
+            assert [ln.rsplit(",", 1)[0] for ln in forked] == [ln.rsplit(",", 1)[0] for ln in inline]
+        assert multiprocessing.active_children() == []
 
 
 class TestSuiteGuards:

@@ -1,6 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from shiftlab.adapt import AdaptationConfig, train_source
+from shiftlab.datagen import gen_two_moons
 from shiftlab.errors import FormatError, NumericError, ParameterError
 from shiftlab.nn import (
     Layer,
@@ -237,6 +241,16 @@ class TestSerialization:
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
         assert back.meta["domain_id"] == "dom-x"
+
+    def test_pickle_roundtrip_exact(self):
+        # the bench's worker processes send source models back by pickle
+        ds = gen_two_moons(80, 0.1, 10.0, seed=2, domain_id="dom-p")
+        m = train_source(ds, AdaptationConfig(iterations=20, seed=3)).model
+        back = pickle.loads(pickle.dumps(m))
+        for la, lb in zip(m.layers, back.layers, strict=True):
+            for a, b in zip(la, lb, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+        assert back.meta == m.meta and back.meta["domain_id"] == "dom-p"
 
     def test_activation_word_fixed_by_position(self, tmp_path):
         path = tmp_path / "m.txt"
