@@ -8,17 +8,16 @@ for gradients. A float overflow, invalid value or division by zero raises.
 
 from __future__ import annotations
 
-import contextvars
-import queue
-import threading
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mea
 from .datagen import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, WorkerError
 from .nn import (
     SourceModel,
     add_gradient,
@@ -35,8 +34,6 @@ from .objectives import (
 from .records import TrajectoryRow
 
 EVAL_INTERVAL = 10
-
-DIAGNOSTIC_BACKLOG = 2  # model snapshots that may wait for UDA's diagnostic thread
 
 EXPANDED_MODES = ("ce-only", "ce+mmd")
 
@@ -115,22 +112,85 @@ def _drive(net, weights, cfg, eval_set, step) -> list:
     return rows
 
 
-def _diagnose(snapshots, source, target, values, errors) -> None:
-    """Consume `(iteration, model)` snapshots until None, storing each one's
-    full-dataset MMD between source and target features in `values`.
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
-    After the first exception, stored in `errors`, it only drains, so the
-    producer's blocking `put` always returns.
+
+def _full_mmd(model, source, target) -> float:
+    """The full-dataset MMD between the source and target features of `model`."""
+    return mmd_rbf(forward(model, source.features).features, forward(model, target.features).features)
+
+
+def _diagnose(source, target, snapshots, results, inherited) -> None:
+    """Helper process: `_full_mmd` of each `(iteration, model)` snapshot until None,
+    then send `{iteration: mmd}`, or the first exception, on `results`.
+
+    It first closes the trainer's pipe ends it inherited (`inherited`), so a
+    trainer that dies leaves it EOF and it exits; SIGINT is the trainer's to handle.
     """
-    while (item := snapshots.get()) is not None:
-        if errors:
-            continue
-        it, snap = item
+    import signal  # loaded already, by multiprocessing
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for conn in inherited:
+        conn.close()
+    values = {}
+    try:
+        while (item := snapshots.recv()) is not None:
+            values[item[0]] = _full_mmd(item[1], source, target)
+    except EOFError:
+        return  # the trainer is gone
+    except Exception as exc:  # re-raised by the trainer
+        values = exc
+    results.send(values)
+
+
+@contextmanager
+def _diagnostic_helper(source, target, values):
+    """Yield `diagnose(iteration, model)`, which hands a snapshot to one forked
+    helper process (`_diagnose`); `values` gets its results on a clean exit.
+
+    A snapshot is pickled when it is sent, and a full pipe blocks the trainer
+    until the helper takes one. The helper's error is re-raised here; a helper
+    that dies raises `WorkerError`. On any error the helper is killed, and it
+    is joined before this returns or raises.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    snapshots, to_helper = ctx.Pipe(duplex=False)
+    from_helper, results = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_diagnose, args=(source, target, snapshots, results, (to_helper, from_helper)))
+    helper.start()
+    snapshots.close()
+    results.close()
+
+    def receive():
         try:
-            values[it] = mmd_rbf(forward(snap, source.features).features,
-                                 forward(snap, target.features).features)
-        except BaseException as exc:  # stored, as the helper must keep draining;
-            errors.append(exc)  # the trainer re-raises it on its own thread
+            out = from_helper.recv()
+        except EOFError:
+            raise WorkerError("the MMD diagnostic's helper process ended abruptly") from None
+        if isinstance(out, BaseException):
+            raise out
+        return out
+
+    def send(item):
+        try:
+            to_helper.send(item)
+        except BrokenPipeError:  # the helper has stopped reading
+            receive()  # raises its error, or WorkerError
+
+    try:
+        yield lambda it, model: send((it, model))
+        send(None)
+        values.update(receive())
+    except BaseException:
+        helper.kill()
+        raise
+    finally:
+        to_helper.close()  # the helper, if still reading, sees EOF
+        from_helper.close()
+        helper.join()
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")  # as in cli.main
@@ -141,9 +201,9 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     Without a target, or at `lambda_uda == 0`, every step is the same
     supervised step, so UDA at lambda 0 is source training bit for bit.
     With one, each evaluating row logs the full-dataset MMD of the model as
-    that step left it, a diagnostic that feeds no gradient: one helper
-    thread, started in a copy of the caller's context (numpy's errstate
-    included), computes it from snapshots while training goes on.
+    that step left it, a diagnostic that feeds no gradient. With two or more
+    usable CPUs one forked helper process computes it from snapshots while
+    training goes on; on one it runs inline after the step, inside the row's `ms`.
     """
     if source.labels is None:
         raise ParameterError(f"source dataset {source.domain_id!r} must be labeled")
@@ -153,7 +213,10 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     src_stream = _stream(source.n, cfg, 17)
     lam = 0.0 if target is None else cfg.lambda_uda
     tgt_stream = _stream(target.n, cfg, 29) if lam > 0 else None
-    snapshots = queue.Queue(maxsize=DIAGNOSTIC_BACKLOG)
+    values = {}  # iteration -> full-dataset MMD
+
+    def diagnose(it, model):  # inline; replaced by the helper's on two or more CPUs
+        values[it] = _full_mmd(model, source, target)
 
     def step(it, evaluating):
         idx = next(src_stream)
@@ -168,26 +231,16 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
         grad = backward(model, tape_s, dce, lam * gx)
         sgd_step(model, add_gradient(grad, backward(model, tape_t, dfeat=lam * gy)), opt)
         if evaluating:
-            snapshots.put((it, model.clone()))  # its loss_mmd comes from the helper
+            diagnose(it, model)  # its loss_mmd comes from the diagnostic
         return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
-    if lam == 0:
-        return TrainerOutput([model], weights, _drive(net, weights, cfg, eval_set, step))
-    values, errors = {}, []
-    helper = threading.Thread(
-        target=contextvars.copy_context().run,
-        args=(_diagnose, snapshots, source, target, values, errors),
-    )
-    helper.start()
-    try:
+    if lam == 0 or _usable_cpus() < 2:
         rows = _drive(net, weights, cfg, eval_set, step)
-    finally:
-        snapshots.put(None)
-        helper.join()
-    if errors:
-        raise errors[0]
+    else:
+        with _diagnostic_helper(source, target, values) as diagnose:
+            rows = _drive(net, weights, cfg, eval_set, step)
     for row in rows:
         if row.iteration in values:
             row.loss_mmd = values[row.iteration]

@@ -9,7 +9,6 @@ Iteration counts are mini-batch steps.
 from __future__ import annotations
 
 import functools
-import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -21,6 +20,7 @@ from .adapt import (
     AdaptationConfig,
     TrainerOutput,
     _ensemble_accuracy,
+    _usable_cpus,
     train_expanded_base,
     train_msfda,
     train_sfda,
@@ -181,7 +181,7 @@ def _pool(n_jobs):
     first asked for) and returns a callable waiting for its result. On an error the
     jobs not started are cancelled and the workers joined; a job that a dead
     worker leaves unfinished raises `WorkerError`."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cpus = _usable_cpus()
     if min(n_jobs, cpus) < 2:
         yield lambda *job: functools.cache(functools.partial(_call, np.geterr(), *job))
         return

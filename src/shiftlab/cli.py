@@ -1,7 +1,8 @@
 """Command-line surface: gen, train-source, adapt, estimate, bench, verify, defaults.
 
 Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage, config or
-file-format error, or an unreadable input file, 3 numeric failure, 4 a dead worker.
+file-format error, or a path the OS refuses, 3 numeric failure, 4 a dead
+worker or diagnostic helper process, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_ACCEPTANCE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_WORKER = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 CONFIG_SECTIONS = {"adapt"}
 
@@ -405,11 +407,13 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WORKER if isinstance(exc, WorkerError) else EXIT_NUMERIC
-    # an input path that cannot be read is a usage error too
-    except (ShiftLabError, FileNotFoundError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError) as exc:
+    # a path the OS refuses (missing, a directory, too long, ...) is a usage error too
+    except (ShiftLabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

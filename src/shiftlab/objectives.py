@@ -9,6 +9,7 @@ terms on rows they just built: a NaN there reaches `nn.sgd_step`, which refuses 
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -86,12 +87,21 @@ def median_bandwidths(sq: np.ndarray) -> np.ndarray:
     # sq is exactly symmetric (A @ A.T is computed as a symmetric product),
     # so its off-diagonal is the strict upper triangle with every value
     # doubled, and both have the same median, bit for bit.
-    r = np.arange(len(sq))
-    upper = sq[r[:, None] < r]  # a gathered copy, which _median may reorder
+    upper = sq[_strict_upper(len(sq))]  # a gathered copy, which _median may reorder
     sigma2 = _median(upper) if upper.size else 1.0
     if sigma2 <= 0:
         sigma2 = 1.0
     return np.array([0.5 * sigma2, sigma2, 2.0 * sigma2])
+
+
+@functools.lru_cache(maxsize=4)
+def _strict_upper(size: int) -> np.ndarray:
+    """The boolean mask of the strict upper triangle of a `size` x `size` matrix,
+    read-only, as every caller shares it."""
+    r = np.arange(size)
+    mask = r[:, None] < r
+    mask.flags.writeable = False
+    return mask
 
 
 def _median(values: np.ndarray) -> float:
@@ -107,7 +117,7 @@ def _median(values: np.ndarray) -> float:
     values.partition(mid)
     if values.size % 2:
         return float(values[mid])
-    return float(np.mean([values[:mid].max(), values[mid]]))
+    return float((values[:mid].max() + values[mid]) / 2)  # np.mean's sum and quotient
 
 
 _ROW_CHUNK = 64  # rows of aa + bb held at once while a distance matrix is filled
@@ -116,7 +126,7 @@ _ROW_CHUNK = 64  # rows of aa + bb held at once while a distance matrix is fille
 def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances (aa_i + bb_j) - 2 (A @ B.T)_ij, floored at 0, in `out` or a fresh array."""
     aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
+    bb = aa.reshape(1, -1) if A is B else (B * B).sum(axis=1)[None, :]
     # with A and B one object, numpy takes the symmetric product
     g = np.matmul(A, B.T, out=np.empty((len(A), len(B))) if out is None else out)
     g *= 2.0
@@ -164,6 +174,11 @@ def _kernel(d: np.ndarray, s2: float, buf: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
+def _mean(k: np.ndarray):
+    """k.mean(), bit for bit: numpy's mean is this sum and quotient."""
+    return np.add.reduce(k, axis=None) / k.size
+
+
 def mmd_rbf(X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None) -> float:
     """Biased (V-statistic) multi-scale RBF MMD estimate.
 
@@ -174,9 +189,19 @@ def mmd_rbf(X: np.ndarray, Y: np.ndarray, bandwidths: list | None = None) -> flo
     buf = np.empty(max(len(X), len(Y)) ** 2)  # holds each kernel block in turn
     total = 0.0
     for s2 in bandwidths:
-        mean_xx, mean_yy, mean_xy = (_kernel(d, s2, buf).mean() for d in blocks)
+        mean_xx, mean_yy, mean_xy = (_mean(_kernel(d, s2, buf)) for d in blocks)
         total += mean_xx + mean_yy - 2.0 * mean_xy
     return float(total / len(bandwidths))
+
+
+def _add_term(g, c, rowsum, P, k, Q, tmp, prod) -> None:
+    """g += c * (rowsum[:, None] * P - k @ Q), each operation as numpy evaluates
+    that expression, into the preallocated `tmp` and `prod`."""
+    np.multiply(rowsum[:, None], P, out=tmp)
+    np.matmul(k, Q, out=prod)
+    np.subtract(tmp, prod, out=tmp)
+    np.multiply(c, tmp, out=tmp)
+    np.add(g, tmp, out=g)
 
 
 def mmd_rbf_grad(
@@ -193,18 +218,20 @@ def mmd_rbf_grad(
     value = 0.0
     gx = np.zeros_like(X)
     gy = np.zeros_like(Y)
+    tx, px, ty, py = np.empty_like(X), np.empty_like(X), np.empty_like(Y), np.empty_like(Y)
     for s2 in bandwidths:
         kxx = _kernel(dxx, s2, buf)
-        mean_xx = kxx.mean()
+        mean_xx = _mean(kxx)
         # d/dx_p of mean(Kxx): x_p appears in row p and column p
-        gx += (-2.0 / (n * n * s2)) * (kxx.sum(axis=1)[:, None] * X - kxx @ X)
+        _add_term(gx, -2.0 / (n * n * s2), np.add.reduce(kxx, axis=1), X, kxx, X, tx, px)
         kyy = _kernel(dyy, s2, buf)
-        mean_yy = kyy.mean()
-        gy += (-2.0 / (m * m * s2)) * (kyy.sum(axis=1)[:, None] * Y - kyy @ Y)
+        mean_yy = _mean(kyy)
+        _add_term(gy, -2.0 / (m * m * s2), np.add.reduce(kyy, axis=1), Y, kyy, Y, ty, py)
         kxy = _kernel(dxy, s2, buf)
-        value += mean_xx + mean_yy - 2.0 * kxy.mean()
-        gx += (2.0 / (n * m * s2)) * (kxy.sum(axis=1)[:, None] * X - kxy @ Y)
-        gy += (2.0 / (n * m * s2)) * (kxy.sum(axis=0)[:, None] * Y - kxy.T @ X)
+        value += mean_xx + mean_yy - 2.0 * _mean(kxy)
+        c = 2.0 / (n * m * s2)
+        _add_term(gx, c, np.add.reduce(kxy, axis=1), X, kxy, Y, tx, px)
+        _add_term(gy, c, np.add.reduce(kxy, axis=0), Y, kxy.T, X, ty, py)
     nb = len(bandwidths)
     return float(value / nb), gx / nb, gy / nb
 

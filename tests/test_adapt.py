@@ -1,12 +1,14 @@
 import inspect
-import queue
+import multiprocessing
+import os
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftlab import adapt, mea, objectives
+from shiftlab import adapt, cli, mea, objectives
 from shiftlab.adapt import (
     EVAL_INTERVAL,
     AdaptationConfig,
@@ -16,8 +18,8 @@ from shiftlab.adapt import (
     train_source,
     train_uda,
 )
-from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons
-from shiftlab.errors import NumericError, ParameterError
+from shiftlab.datagen import gen_gaussian_blobs, gen_two_moons, save_dataset
+from shiftlab.errors import NumericError, ParameterError, WorkerError
 from shiftlab.nn import (
     add_gradient,
     backward,
@@ -29,6 +31,7 @@ from shiftlab.nn import (
 )
 from shiftlab.objectives import cross_entropy, mmd_rbf, mmd_rbf_grad
 from shiftlab.records import TrajectoryRow
+from test_bench import _dying_in_a_worker, _usable_cpus, log_line, read_lines
 
 
 def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
@@ -189,7 +192,7 @@ class TestTrainUda:
 
 def reference_train_uda(source, target, cfg, eval_set=None):
     """The earlier UDA trainer, which computed its full-dataset MMD diagnostic
-    inline on the training thread; the reference for the helper thread."""
+    inline on the training thread; the reference for the helper process."""
     model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
     net, (model,) = stack_models([model])
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
@@ -223,9 +226,35 @@ def uda_domains():
     return src, tgt_eval.unlabeled(), tgt_eval
 
 
+def _log_helper_pids(monkeypatch, log):
+    """Log the pid of each diagnostic helper process to `log`."""
+    diagnose = adapt._diagnose
+
+    def logging(*args):
+        log_line(log, os.getpid())
+        return diagnose(*args)
+
+    monkeypatch.setattr(adapt, "_diagnose", logging)
+
+
+def _exited(pid, timeout=30.0):
+    """Whether process `pid` is gone, or a zombie left for its reaper, within `timeout`."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
 class TestUdaDiagnosticThread:
-    """UDA's full-dataset MMD runs on one helper thread per run, off the
-    training path; rows and parameters stay those of the inline diagnostic."""
+    """UDA's full-dataset MMD runs off the training path, in one forked helper
+    process per run (inline on one usable CPU); rows and parameters stay
+    those of the inline diagnostic, and no process outlives the run."""
 
     @pytest.mark.parametrize("lam", [0.5, 1.0])
     @pytest.mark.parametrize("iterations", [1, 10, 25, 31])
@@ -240,16 +269,36 @@ class TestUdaDiagnosticThread:
             row.ms = ref.ms = 0.0
             assert row == ref
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_and_parameters_do_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, cpus):
+        pids = tmp_path / "pids.log"
+        _log_helper_pids(monkeypatch, pids)
+        _usable_cpus(monkeypatch, cpus)
+        src, tgt, tgt_eval = uda_domains()
+        cfg = AdaptationConfig(iterations=31, seed=4)
+        out = train_uda(src, tgt, cfg, tgt_eval)
+        ref_model, ref_rows = reference_train_uda(src, tgt, cfg, tgt_eval)
+        assert params_equal(out.model, ref_model)
+        for row, ref in zip(out.rows, ref_rows, strict=True):
+            row.ms = ref.ms = 0.0
+            assert row == ref
+        helpers = read_lines(pids)
+        assert len(helpers) == cpus - 1 and os.getpid() not in helpers  # inline on one CPU
+        assert multiprocessing.active_children() == []
+
     def test_diagnostic_exception_propagates_and_no_thread_survives(self, monkeypatch):
         def failing(X, Y):
             raise RuntimeError("diagnostic failed")
 
         monkeypatch.setattr(adapt, "mmd_rbf", failing)
+        _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="diagnostic failed"):
+        with pytest.raises(RuntimeError, match="^diagnostic failed$") as exc:
             train_uda(src, tgt, AdaptationConfig(iterations=31))
+        assert exc.type is RuntimeError
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("k", [1, 11, 25])
     def test_training_exception_propagates_and_no_thread_survives(self, monkeypatch, k):
@@ -262,60 +311,79 @@ class TestUdaDiagnosticThread:
             return sgd_step(*args)
 
         monkeypatch.setattr(adapt, "sgd_step", failing_at_k)
+        _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"step {k} failed"):
             train_uda(src, tgt, AdaptationConfig(iterations=31))
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
-    def test_queue_never_holds_more_than_its_bound(self, monkeypatch):
-        # the diagnostic waits until the training thread finds the queue full,
-        # so every put after that blocks until the helper takes a snapshot
-        full = threading.Event()
-        sizes = []
+    def test_queue_never_holds_more_than_its_bound(self, monkeypatch, tmp_path):
+        # the pipe to the helper holds about one snapshot (a pickled model is
+        # about 36 KB, a Linux pipe 64 KiB), so a helper that stalls on its
+        # first diagnostic stalls the trainer long before its last step
+        release, steps = tmp_path / "release", []
 
-        class RecordingQueue(queue.Queue):
-            def put(self, item, *args, **kwargs):
-                if self.full():
-                    full.set()
-                super().put(item, *args, **kwargs)
-                sizes.append(self.qsize())
-
-        def slow_mmd(X, Y):
-            assert full.wait(timeout=10)
+        def stalled_mmd(X, Y):
+            deadline = time.monotonic() + 30
+            while not release.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             return mmd_rbf(X, Y)
 
-        monkeypatch.setattr(queue, "Queue", RecordingQueue)
-        monkeypatch.setattr(adapt, "mmd_rbf", slow_mmd)
+        def counting(*args):
+            steps.append(1)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(adapt, "mmd_rbf", stalled_mmd)
+        monkeypatch.setattr(adapt, "sgd_step", counting)
+        _usable_cpus(monkeypatch, 2)
+        seen = []
+
+        def release_after_a_second():
+            time.sleep(1.0)
+            seen.append(len(steps))
+            release.touch()
+
+        timer = threading.Thread(target=release_after_a_second)
+        timer.start()
         src, tgt, tgt_eval = uda_domains()
-        cfg = AdaptationConfig(iterations=51, seed=4)
-        out = train_uda(src, tgt, cfg, tgt_eval)
-        assert full.is_set() and max(sizes) <= adapt.DIAGNOSTIC_BACKLOG
+        cfg = AdaptationConfig(iterations=101, seed=4)
+        try:
+            out = train_uda(src, tgt, cfg, tgt_eval)
+        finally:
+            timer.join(timeout=60)
+        assert not timer.is_alive()
+        assert seen[0] < cfg.iterations / 2 and len(steps) == cfg.iterations
+        monkeypatch.setattr(adapt, "sgd_step", sgd_step)
         ref_model, ref_rows = reference_train_uda(src, tgt, cfg, tgt_eval)
         assert params_equal(out.model, ref_model)
         assert [r.loss_mmd for r in out.rows] == [r.loss_mmd for r in ref_rows]
 
-    def test_helper_runs_in_the_callers_errstate(self, monkeypatch):
-        seen = []
+    def test_helper_runs_in_the_callers_errstate(self, monkeypatch, tmp_path):
+        states = tmp_path / "states.log"
 
         def recording_mmd(X, Y):
-            seen.append((threading.get_ident(), np.geterr()))
+            log_line(states, (os.getpid(), np.geterr()))
             return mmd_rbf(X, Y)
 
         monkeypatch.setattr(adapt, "mmd_rbf", recording_mmd)
+        _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(all="raise"):  # "under" is the caller's alone: no trainer sets it
             expected = np.geterr()
             train_uda(src, tgt, AdaptationConfig(iterations=11))
         assert expected != np.geterr()
-        assert [err for _, err in seen] == [expected] * 2
-        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert [err for _, err in read_lines(states)] == [expected] * 2
+        assert os.getpid() not in {pid for pid, _ in read_lines(states)}
 
     @pytest.mark.parametrize("trainer", ["source", "uda-lambda-0"])
     def test_no_diagnostic_no_thread(self, monkeypatch, trainer):
         started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+        start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda p: started.append(p) or start(p))
+        _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
         cfg = AdaptationConfig(iterations=11, lambda_uda=0.0)
         if trainer == "source":
@@ -325,6 +393,67 @@ class TestUdaDiagnosticThread:
         assert started == []
         train_uda(src, tgt, replace(cfg, lambda_uda=1.0))
         assert len(started) == 1
+
+    def test_a_dead_helper_raises_worker_error(self, monkeypatch):
+        monkeypatch.setattr(adapt, "_diagnose", _dying_in_a_worker())
+        _usable_cpus(monkeypatch, 2)
+        src, tgt, _ = uda_domains()
+        with pytest.raises(WorkerError, match="^the MMD diagnostic's helper process ended abruptly$"):
+            train_uda(src, tgt, AdaptationConfig(iterations=31))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["dead-helper", "interrupt"])
+    def test_the_cli_prints_one_error_line(self, monkeypatch, tmp_path, capfd, interrupt):
+        # a dead helper exits 4; a KeyboardInterrupt in the trainer exits 130
+        pids = tmp_path / "pids.log"
+        if interrupt:
+            _log_helper_pids(monkeypatch, pids)
+
+            def interrupted(*args):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(adapt, "sgd_step", interrupted)
+        else:
+            monkeypatch.setattr(adapt, "_diagnose", _dying_in_a_worker())
+        _usable_cpus(monkeypatch, 2)
+        src, _, tgt_eval = uda_domains()
+        for name, ds in (("src.csv", src), ("tgt.csv", tgt_eval)):
+            save_dataset(ds, tmp_path / name)
+        code = cli.main(["adapt", "--paradigm", "uda", "--source-data", str(tmp_path / "src.csv"),
+                         "--target", str(tmp_path / "tgt.csv"), "--iterations", "31"])
+        out, err = capfd.readouterr()
+        if interrupt:
+            assert (code, out, err) == (130, "", "error: interrupted\n")
+            assert len(read_lines(pids)) == 1
+        else:
+            assert (code, out) == (4, "")
+            assert err == "error: the MMD diagnostic's helper process ended abruptly\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_a_killed_trainer_leaves_no_helper(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+        _log_helper_pids(monkeypatch, pids)
+        calls = []
+
+        def dying_at_15(*args):
+            calls.append(1)
+            if len(calls) == 15:
+                os._exit(3)
+            return sgd_step(*args)
+
+        monkeypatch.setattr(adapt, "sgd_step", dying_at_15)
+        _usable_cpus(monkeypatch, 2)
+        src, tgt, _ = uda_domains()
+        trainer = multiprocessing.get_context("fork").Process(
+            target=train_uda, args=(src, tgt, AdaptationConfig(iterations=31)))
+        trainer.start()
+        trainer.join(timeout=60)
+        assert trainer.exitcode == 3
+        (helper,) = read_lines(pids)
+        assert helper not in (os.getpid(), trainer.pid)
+        assert _exited(helper)
+        assert multiprocessing.active_children() == []
 
 
 class TestPseudoLabels:

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from shiftlab import bench, cli, mea
+from shiftlab import adapt, bench, cli, mea
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
     MoonsRecipe,
@@ -277,7 +277,7 @@ class TestSharedData:
 
 
 def _usable_cpus(monkeypatch, cpus):
-    """Make `run_scenario` see `cpus` usable CPUs."""
+    """Make `run_scenario` and the UDA trainer see `cpus` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
@@ -396,6 +396,16 @@ class TestWorkers:
             run_scenario({"a": MoonsRecipe(n=60)}, [spec], [0])
         assert multiprocessing.active_children() == []
 
+    def test_a_dead_diagnostic_helper_raises_worker_error_naming_its_run(self, monkeypatch):
+        monkeypatch.setattr(adapt, "_diagnose", _dying_in_a_worker())
+        _usable_cpus(monkeypatch, 2)
+        spec = ScenarioSpec("tiny", "uda", MoonsRecipe(n=60, rotation=20.0), TINY)
+        message = (r"^scenario 'tiny' \(paradigm uda, seed 1\): "
+                   r"the MMD diagnostic's helper process ended abruptly$")
+        with pytest.raises(WorkerError, match=message):
+            run_scenario({"a": MoonsRecipe(n=60)}, [spec], [1, 2])
+        assert multiprocessing.active_children() == []
+
     def test_a_dead_worker_exits_4_with_one_error_line(self, monkeypatch, tmp_path, capfd):
         monkeypatch.setattr(bench, "_overfit_seed", _dying_in_a_worker())
         _usable_cpus(monkeypatch, 2)
@@ -403,6 +413,18 @@ class TestWorkers:
         out, err = capfd.readouterr()
         assert (code, out) == (4, "")
         assert err == "error: seed 0: a worker process ended abruptly before its run finished\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_interrupted_job_exits_130_with_one_error_line(self, monkeypatch, tmp_path, capfd,
+                                                              cpus):
+        def interrupted(seed):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "_overfit_seed", interrupted)
+        _usable_cpus(monkeypatch, cpus)
+        code = cli.main(["bench", "overfitting", "--seed-list", "0,1", "--out", str(tmp_path)])
+        assert (code, *capfd.readouterr()) == (130, "", "error: interrupted\n")
         assert multiprocessing.active_children() == []
 
     def test_overfitting_does_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):

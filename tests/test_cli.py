@@ -297,7 +297,7 @@ class TestExitCodes:
         "moons-nan-noise", "blobs-inf-separation", "adapt-unlabeled-eval", "uda-unread-flags",
         "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
         "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
-        "mea-visible-twice", "visible-empty-id",
+        "mea-visible-twice", "visible-empty-id", "path-under-a-file", "path-too-long",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -349,6 +349,9 @@ class TestExitCodes:
             "no-seeds": (("bench", "overfitting", "--seeds", "0"), "[]"),
             "negative-seed": (("bench", "overfitting", "--seed-list", "-1"), "[-1]"),
             "dataset-dir": (("verify", "dataset", str(tmp_path)), str(tmp_path)),
+            "path-under-a-file": (("verify", "dataset", f"{moons_file}/x"), "Not a directory"),
+            "path-too-long": (("verify", "dataset", str(tmp_path / ("x" * 300))),
+                              "File name too long"),
             "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
             "non-ascii-dataset": (("verify", "dataset", str(non_ascii)), "ascii"),
             "dataset-label": (("verify", "dataset", str(bad)), "'x'"),

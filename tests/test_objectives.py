@@ -105,6 +105,83 @@ def reference_mmd_grad(X, Y, bandwidths):
     return float(value / nb), gx / nb, gy / nb
 
 
+# The MMD kernels as they were before their per-call savings (a cached
+# triangle mask, one row-norm vector for a pooled product, preallocated
+# gradient terms), kept frozen: the current kernels must give their bits.
+
+def frozen_sq_dists(A, B, out):
+    aa = (A * A).sum(axis=1)[:, None]
+    bb = (B * B).sum(axis=1)[None, :]
+    g = np.matmul(A, B.T, out=out)
+    g *= 2.0
+    for i in range(0, len(A), 64):
+        rows = g[i : i + 64]
+        np.subtract(aa[i : i + 64] + bb, rows, out=rows)
+    return np.maximum(g, 0.0, out=g)
+
+
+def frozen_median(values):
+    if np.isnan(values).any():
+        return float("nan")
+    mid = values.size // 2
+    values.partition(mid)
+    if values.size % 2:
+        return float(values[mid])
+    return float(np.mean([values[:mid].max(), values[mid]]))
+
+
+def frozen_blocks(X, Y, bandwidths):
+    pooled = np.vstack([X, Y])
+    n, size = len(X), len(X) + len(Y)
+    sq = frozen_sq_dists(pooled, pooled, np.empty((size, size)))
+    if bandwidths is None:
+        r = np.arange(len(sq))
+        upper = sq[r[:, None] < r]
+        sigma2 = frozen_median(upper) if upper.size else 1.0
+        if sigma2 <= 0:
+            sigma2 = 1.0
+        bandwidths = np.array([0.5 * sigma2, sigma2, 2.0 * sigma2])
+    return np.asarray(bandwidths, dtype=np.float64), (sq[:n, :n], sq[n:, n:], sq[:n, n:])
+
+
+def frozen_kernel(d, s2, buf):
+    k = buf[: d.size].reshape(d.shape)
+    np.divide(d, -(2.0 * s2), out=k)
+    return np.exp(k, out=k)
+
+
+def frozen_mmd_rbf(X, Y, bandwidths=None):
+    bandwidths, blocks = frozen_blocks(X, Y, bandwidths)
+    buf = np.empty(max(len(X), len(Y)) ** 2)
+    total = 0.0
+    for s2 in bandwidths:
+        mean_xx, mean_yy, mean_xy = (frozen_kernel(d, s2, buf).mean() for d in blocks)
+        total += mean_xx + mean_yy - 2.0 * mean_xy
+    return float(total / len(bandwidths))
+
+
+def frozen_mmd_rbf_grad(X, Y, bandwidths=None):
+    bandwidths, (dxx, dyy, dxy) = frozen_blocks(X, Y, bandwidths)
+    n, m = X.shape[0], Y.shape[0]
+    buf = np.empty(max(n, m) ** 2)
+    value = 0.0
+    gx = np.zeros_like(X)
+    gy = np.zeros_like(Y)
+    for s2 in bandwidths:
+        kxx = frozen_kernel(dxx, s2, buf)
+        mean_xx = kxx.mean()
+        gx += (-2.0 / (n * n * s2)) * (kxx.sum(axis=1)[:, None] * X - kxx @ X)
+        kyy = frozen_kernel(dyy, s2, buf)
+        mean_yy = kyy.mean()
+        gy += (-2.0 / (m * m * s2)) * (kyy.sum(axis=1)[:, None] * Y - kyy @ Y)
+        kxy = frozen_kernel(dxy, s2, buf)
+        value += mean_xx + mean_yy - 2.0 * kxy.mean()
+        gx += (2.0 / (n * m * s2)) * (kxy.sum(axis=1)[:, None] * X - kxy @ Y)
+        gy += (2.0 / (n * m * s2)) * (kxy.sum(axis=0)[:, None] * Y - kxy.T @ X)
+    nb = len(bandwidths)
+    return float(value / nb), gx / nb, gy / nb
+
+
 def samples(n, m, seed=0):
     rng = np.random.default_rng([n, m, seed])
     return np.tanh(rng.normal(size=(n, 64))), np.tanh(rng.normal(size=(m, 64)) + 0.5)
@@ -500,6 +577,44 @@ class TestMmd:
         v = mmd_rbf(X, Y, kernel)
         assert v >= -1e-12
         assert v == pytest.approx(naive_mmd(X, Y, [1.0]), abs=1e-10)
+
+
+class TestFrozenKernels:
+    """mmd_rbf and mmd_rbf_grad give the frozen kernels' bits, value and gradients."""
+
+    @staticmethod
+    def assert_frozen_bits(X, Y, bandwidths):
+        assert mmd_rbf(X, Y, bandwidths) == frozen_mmd_rbf(X, Y, bandwidths)
+        value, gx, gy = mmd_rbf_grad(X, Y, bandwidths)
+        ref_value, ref_gx, ref_gy = frozen_mmd_rbf_grad(X, Y, bandwidths)
+        assert value == ref_value
+        assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (50, 70, 33), (64, 64, 64), (64, 64, 16),
+                                         (3, 130, 7), (400, 400, 64)])
+    @pytest.mark.parametrize("bandwidths", [None, [0.7, 2.0]], ids=["median", "explicit"])
+    def test_fixed_shapes(self, n, m, d, bandwidths):
+        rng = np.random.default_rng([n, m, d])
+        X, Y = np.tanh(rng.normal(size=(n, d))), np.tanh(rng.normal(size=(m, d)) + 0.5)
+        self.assert_frozen_bits(X, Y, bandwidths)
+
+    def test_random_shapes_ties_and_bandwidths(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(120):
+            n, m, d = rng.integers(1, 90, size=2).tolist() + [int(rng.integers(1, 70))]
+            X = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+            Y = rng.normal(size=(m, d)) + rng.uniform(-1.0, 1.0)
+            if rng.random() < 0.4:  # tied rows, within and across the samples
+                X[n // 2 :] = X[0]
+                Y[: (m + 1) // 2] = X[-1]
+            bandwidths = None if rng.random() < 0.5 else rng.uniform(0.05, 5.0, size=int(rng.integers(1, 4)))
+            self.assert_frozen_bits(X, Y, bandwidths)
+
+    def test_identical_and_same_object_samples(self):
+        X = np.random.default_rng(3).normal(size=(20, 5))
+        self.assert_frozen_bits(X, X, None)
+        self.assert_frozen_bits(X, X.copy(), [1.0])
+        self.assert_frozen_bits(np.zeros((4, 3)), np.zeros((6, 3)), None)
 
 
 class TestMmdGrad:
