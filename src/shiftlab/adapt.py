@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,15 +146,22 @@ def _diagnose(source, target, snapshots, results, inherited) -> None:
 
 
 @contextmanager
-def _diagnostic_helper(source, target, values):
-    """Yield `diagnose(iteration, model)`, which hands a snapshot to one forked
-    helper process (`_diagnose`); `values` gets its results on a clean exit.
+def _diagnostics(source, target, values):
+    """Yield `diagnose(iteration, model)`, which sets `values[iteration]` to
+    `_full_mmd` of the snapshot by the end of the block: inline on one usable
+    CPU, else in one forked helper process (`_diagnose`) while training goes on.
 
     A snapshot is pickled when it is sent, and a full pipe blocks the trainer
     until the helper takes one. The helper's error is re-raised here; a helper
     that dies raises `WorkerError`. On any error the helper is killed, and it
     is joined before this returns or raises.
     """
+    if _usable_cpus() < 2:
+        def diagnose(it, model):
+            values[it] = _full_mmd(model, source, target)
+
+        yield diagnose
+        return
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -201,9 +208,7 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     Without a target, or at `lambda_uda == 0`, every step is the same
     supervised step, so UDA at lambda 0 is source training bit for bit.
     With one, each evaluating row logs the full-dataset MMD of the model as
-    that step left it, a diagnostic that feeds no gradient. With two or more
-    usable CPUs one forked helper process computes it from snapshots while
-    training goes on; on one it runs inline after the step, inside the row's `ms`.
+    that step left it (`_diagnostics`), a diagnostic that feeds no gradient.
     """
     if source.labels is None:
         raise ParameterError(f"source dataset {source.domain_id!r} must be labeled")
@@ -214,9 +219,6 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     lam = 0.0 if target is None else cfg.lambda_uda
     tgt_stream = _stream(target.n, cfg, 29) if lam > 0 else None
     values = {}  # iteration -> full-dataset MMD
-
-    def diagnose(it, model):  # inline; replaced by the helper's on two or more CPUs
-        values[it] = _full_mmd(model, source, target)
 
     def step(it, evaluating):
         idx = next(src_stream)
@@ -236,11 +238,8 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
-    if lam == 0 or _usable_cpus() < 2:
+    with _diagnostics(source, target, values) if lam > 0 else nullcontext() as diagnose:
         rows = _drive(net, weights, cfg, eval_set, step)
-    else:
-        with _diagnostic_helper(source, target, values) as diagnose:
-            rows = _drive(net, weights, cfg, eval_set, step)
     for row in rows:
         if row.iteration in values:
             row.loss_mmd = values[row.iteration]

@@ -8,8 +8,11 @@ Iteration counts are mini-batch steps.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
 import re
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,6 +83,13 @@ class ScenarioSpec:
             raise ParameterError("expanded-base requires expanded_visible domains")
 
 
+def _check_seeds(seeds) -> None:
+    """The one rule for a suite's seeds: at least one, each non-negative and distinct."""
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ParameterError(f"need at least one seed, each non-negative and distinct, "
+                             f"got {list(seeds)}")
+
+
 def _data_seeds(seed: int, n_sources: int):
     """Generator seeds of one suite seed: one per source domain, and the target's."""
     return [seed * 1000 + j + 1 for j in range(n_sources)], seed * 1000 + 997
@@ -99,8 +109,7 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
     failing run's in (seed, spec) order; a failed source training fails the
     first run that uses its models.
     """
-    if not seeds:
-        raise ParameterError("need at least one seed")
+    _check_seeds(seeds)
     need_models = any(spec.paradigm != "uda" for spec in specs)
     with _pool(len(seeds) * (len(specs) + len(sources) * need_models)) as submit:
         jobs = []  # per (seed, spec): its context, and its started run or its inputs
@@ -168,22 +177,43 @@ def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
     return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
 
 
-def _call(errstate, name, *args):
-    """Module function `name` (pickled by name) on `args` in the caller's errstate."""
-    with np.errstate(**errstate):
-        return globals()[name](*args)
+def _call(name, *args):
+    """Module function `name` (pickled by name) on `args`."""
+    return globals()[name](*args)
+
+
+def _worker_start(caller):
+    """A pool worker's start: it leaves SIGINT to its caller between jobs
+    (`_worker_call`), and where Linux's prctl is found it dies with the caller,
+    whose call queue it would otherwise wait on forever."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != caller:  # the caller died before the line above
+            os._exit(1)
+
+
+def _worker_call(*job):
+    """`_call` in a pool worker, where SIGINT raises KeyboardInterrupt inside a job only."""
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _call(*job)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 @contextmanager
 def _pool(n_jobs):
     """Yield `submit(name, *args)`, which starts `_call` of a job in one of
     min(n_jobs, usable CPUs) forked workers (below two: inline, when its result is
-    first asked for) and returns a callable waiting for its result. On an error the
+    first asked for) and returns a callable waiting for its result. A job runs in
+    the caller's numpy error state, which a worker takes by fork. On an error the
     jobs not started are cancelled and the workers joined; a job that a dead
     worker leaves unfinished raises `WorkerError`."""
     cpus = _usable_cpus()
     if min(n_jobs, cpus) < 2:
-        yield lambda *job: functools.cache(functools.partial(_call, np.geterr(), *job))
+        yield lambda *job: functools.cache(functools.partial(_call, *job))
         return
     import multiprocessing
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -191,7 +221,7 @@ def _pool(n_jobs):
 
     def submit(*job):
         try:
-            future = pool.submit(_call, np.geterr(), *job)
+            future = pool.submit(_worker_call, *job)
         except BrokenProcessPool as exc:
             (future := Future()).set_exception(exc)
 
@@ -203,7 +233,8 @@ def _pool(n_jobs):
                 raise WorkerError(f"a worker process ended abruptly before its {what} finished") from None
         return result
 
-    with ProcessPoolExecutor(min(n_jobs, cpus), mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(min(n_jobs, cpus), mp_context=multiprocessing.get_context("fork"),
+                             initializer=_worker_start, initargs=(os.getpid(),)) as pool:
         try:
             yield submit
         except BaseException:
@@ -266,12 +297,12 @@ def convergence_suite(seeds, out_dir=None) -> dict:
         seeds,
     )
 
-    per_seed = []
+    per_seed, uda_effs = [], []  # uda_effs: each UDA run's steps to converge, or all it ran
     for s, rs, ru in zip(seeds, sfda_records, uda_records):
         sfda_conv = iterations_to_convergence(rs.rows)
         uda_conv = iterations_to_convergence(ru.rows)
-        uda_eff = uda_conv if uda_conv is not None else len(ru.rows)
-        ok = sfda_conv is not None and sfda_conv <= uda_eff / 2
+        uda_effs.append(uda_conv if uda_conv is not None else len(ru.rows))
+        ok = sfda_conv is not None and sfda_conv <= uda_effs[-1] / 2
         per_seed.append(
             {
                 "seed": s,
@@ -286,9 +317,7 @@ def convergence_suite(seeds, out_dir=None) -> dict:
         "suite": "convergence",
         "per_seed": per_seed,
         "sfda_median_conv": float(np.median([p["sfda_conv"] for p in per_seed])),
-        "uda_median_conv": float(np.median(
-            [p["uda_conv"] if p["uda_conv"] is not None else 2000 for p in per_seed]
-        )),
+        "uda_median_conv": float(np.median(uda_effs)),
         "passed": _majority(p["pass"] for p in per_seed),
     }
     if out_dir is not None:
@@ -345,8 +374,7 @@ def negative_transfer_suite(seeds, out_dir=None) -> dict:
 
 def overfitting_suite(seeds, out_dir=None) -> dict:
     """Adapt on 90% of a 600-point target, compare train/test accuracy gap."""
-    if not seeds:
-        raise ParameterError("need at least one seed")
+    _check_seeds(seeds)
     with _pool(len(seeds)) as submit:
         runs = [(f"seed {seed}", submit("_overfit_seed", seed)) for seed in seeds]
         records, per_seed = zip(*(_wait(*run) for run in runs))

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-CSV_HEADER = "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,ms"
-
 
 @dataclass
 class TrajectoryRow:
+    """One trainer step; its fields, in order, are the trajectory CSV's columns."""
+
     iteration: int
     loss_total: float
     loss_ce: float = 0.0
@@ -21,18 +22,13 @@ class TrajectoryRow:
     ms: float = 0.0
 
     def csv(self) -> str:
-        acc = "" if self.acc_target is None else format(self.acc_target, ".17g")
-        return ",".join(
-            [
-                str(self.iteration),
-                format(self.loss_total, ".17g"),
-                format(self.loss_ce, ".17g"),
-                format(self.loss_mmd, ".17g"),
-                format(self.loss_im, ".17g"),
-                acc,
-                format(self.ms, ".3f"),
-            ]
-        )
+        """The row's CSV line: None as empty, `ms` to the microsecond, the rest exact."""
+        *exact, ms = _csv_columns(self)
+        return ",".join(["" if v is None else format(v, ".17g") for v in exact] + [format(ms, ".3f")])
+
+
+CSV_HEADER = ",".join(f.name for f in fields(TrajectoryRow))
+_csv_columns = operator.attrgetter(*CSV_HEADER.split(","))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from shiftlab.nn import (
 )
 from shiftlab.objectives import cross_entropy, mmd_rbf, mmd_rbf_grad
 from shiftlab.records import TrajectoryRow
-from test_bench import _dying_in_a_worker, _usable_cpus, log_line, read_lines
+from test_bench import _dying_in_a_worker, _exited, _usable_cpus, log_line, read_lines
 
 
 def moons(rotation=0.0, n=200, seed=0, domain_id="src"):
@@ -235,20 +235,6 @@ def _log_helper_pids(monkeypatch, log):
         return diagnose(*args)
 
     monkeypatch.setattr(adapt, "_diagnose", logging)
-
-
-def _exited(pid, timeout=30.0):
-    """Whether process `pid` is gone, or a zombie left for its reaper, within `timeout`."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    return True
-        except FileNotFoundError:
-            return True
-        time.sleep(0.02)
-    return False
 
 
 class TestUdaDiagnosticThread:

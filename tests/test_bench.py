@@ -1,11 +1,17 @@
 import ast
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftlab
 from shiftlab import adapt, bench, cli, mea
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.bench import (
@@ -169,6 +175,11 @@ class TestRunScenario:
         with pytest.raises(ParameterError, match="need at least one seed"):
             run_scenario({"a": MoonsRecipe()}, [spec], [])
 
+    def test_rejects_a_repeated_seed(self):
+        spec = ScenarioSpec("x", "sfda", MoonsRecipe())
+        with pytest.raises(ParameterError, match=r"distinct, got \[3, 1, 3\]$"):
+            run_scenario({"a": MoonsRecipe()}, [spec], [3, 1, 3])
+
     def test_errors_name_the_scenario_and_seed(self, monkeypatch):
         def failing(*args, **kwargs):
             raise ParameterError("boom")
@@ -281,6 +292,33 @@ def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
+def _exited(pid, timeout=30.0):
+    """Whether process `pid` is gone, or a zombie left for its reaper, within `timeout`."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.02)
+    return False
+
+
+def _session(sid):
+    """The pids of the processes in session `sid`."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text(encoding="ascii").rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue  # it ended while we looked
+        if int(fields[3]) == sid:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
 def _dying_in_a_worker():
     """A job that ends its worker process abruptly; in the caller it only raises."""
     caller = os.getpid()
@@ -291,6 +329,44 @@ def _dying_in_a_worker():
         os._exit(1)
 
     return dying
+
+
+# `shiftlab bench convergence --seed-list 0` on two workers, with marks for
+# the test: "sfda" when its sfda run is back, "uda" when its UDA run starts,
+# "uda-interrupted" when a KeyboardInterrupt ends it. Each UDA step sleeps
+# 10 ms, so that run holds its worker for 20 s or more.
+INTERRUPTED_BENCH = """
+import os
+import sys
+import time
+from pathlib import Path
+
+from shiftlab import adapt, bench, cli
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+marks, run_spec, mmd_rbf_grad = Path({marks!r}), bench._run_spec, adapt.mmd_rbf_grad
+
+
+def marking(spec, *args):
+    if spec.paradigm == "uda":
+        (marks / "uda").touch()
+    try:
+        record = run_spec(spec, *args)
+    except KeyboardInterrupt:
+        (marks / (spec.paradigm + "-interrupted")).touch()
+        raise
+    (marks / spec.paradigm).touch()
+    return record
+
+
+def slow_grad(*args):
+    time.sleep(0.01)
+    return mmd_rbf_grad(*args)
+
+
+bench._run_spec, adapt.mmd_rbf_grad = marking, slow_grad
+sys.exit(cli.main(["bench", "convergence", "--seed-list", "0", "--out", {out!r}]))
+"""
 
 
 class TestWorkers:
@@ -427,6 +503,61 @@ class TestWorkers:
         assert (code, *capfd.readouterr()) == (130, "", "error: interrupted\n")
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_ctrl_c_prints_one_line_and_leaves_no_process(self, tmp_path):
+        # a real SIGINT to the process group of `shiftlab bench convergence`, once
+        # its sfda run is back (that worker is idle) and its UDA run, slowed down,
+        # holds the other worker and its diagnostic helper
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        script = INTERRUPTED_BENCH.format(marks=str(marks), out=str(tmp_path / "out"))
+        env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not {"uda", "sfda"} <= {p.name for p in marks.iterdir()}:
+                assert time.monotonic() < deadline and proc.poll() is None, proc.communicate()
+                time.sleep(0.02)
+            time.sleep(0.3)  # the sfda run's worker is back in its queue
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert (marks / "uda-interrupted").exists()  # the UDA job took the SIGINT
+        assert all(_exited(pid, timeout=10.0) for pid in _session(proc.pid))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_workers_end_with_a_killed_caller(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+
+        def sleeping(seed):
+            log_line(pids, os.getpid())
+            time.sleep(60)
+
+        monkeypatch.setattr(bench, "_overfit_seed", sleeping)
+        _usable_cpus(monkeypatch, 2)
+        caller = multiprocessing.get_context("fork").Process(target=overfitting_suite, args=([0, 1],))
+        caller.start()
+        deadline = time.monotonic() + 30
+        while len(read_lines(pids)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        workers = read_lines(pids)
+        try:
+            os.kill(caller.pid, signal.SIGKILL)
+            caller.join(timeout=30)
+            assert caller.exitcode == -signal.SIGKILL
+            assert len(workers) == 2 and caller.pid not in workers
+            assert all(_exited(pid, timeout=10.0) for pid in workers)
+        finally:
+            for pid in workers:
+                if not _exited(pid, timeout=0.1):
+                    os.kill(pid, signal.SIGKILL)
+        assert multiprocessing.active_children() == []
+
     def test_overfitting_does_not_depend_on_the_worker_count(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids.log"
         overfit_seed = bench._overfit_seed
@@ -454,6 +585,10 @@ class TestSuiteGuards:
         with pytest.raises(ParameterError, match="need at least one seed"):
             overfitting_suite([])
 
+    def test_overfitting_rejects_a_repeated_seed(self):
+        with pytest.raises(ParameterError, match=r"distinct, got \[3, 3, 3\]$"):
+            overfitting_suite([3, 3, 3])
+
     def test_overfitting_names_its_runs_sfda(self, tmp_path):
         overfitting_suite([0], tmp_path)
         assert (tmp_path / "run_sfda-_target-s0.csv").exists()
@@ -461,6 +596,43 @@ class TestSuiteGuards:
         cells = [l for l in lines if l.startswith("cell ")]
         assert len(cells) == 1
         assert cells[0].startswith("cell paradigm=sfda scenario=sfda accuracy=")
+
+
+def frozen_csv(row):
+    """`TrajectoryRow.csv` as it was written out field by field, before the
+    columns came from the row's fields."""
+    acc = "" if row.acc_target is None else format(row.acc_target, ".17g")
+    return ",".join(
+        [
+            str(row.iteration),
+            format(row.loss_total, ".17g"),
+            format(row.loss_ce, ".17g"),
+            format(row.loss_mmd, ".17g"),
+            format(row.loss_im, ".17g"),
+            acc,
+            format(row.ms, ".3f"),
+        ]
+    )
+
+
+class TestTrajectoryCsv:
+    def test_header_is_pinned(self):
+        assert CSV_HEADER == "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,ms"
+
+    @pytest.mark.parametrize("row", [
+        TrajectoryRow(0, 0.0),
+        TrajectoryRow(7, 3.0, 2.0, 1.0, 0.0, 1.0, 0.0),
+        TrajectoryRow(12, -0.0, -0.0, 1e-300, 5e-324, 0.5, 1.0005),
+        TrajectoryRow(299, 0.1 + 0.2, 1 / 3, 1e300, 2.0 ** 60, 0.123456789, 123.4565),
+        TrajectoryRow(1999, np.float64(0.7), np.float64(-1e-300), np.float64(2.0), 0.0,
+                      np.float64(0.25), 2.0 / 3.0),
+    ], ids=["defaults", "integer-valued", "signed-zero-and-tiny", "wide", "numpy"])
+    def test_rows_match_the_frozen_format(self, row):
+        assert row.csv() == frozen_csv(row)
+
+    def test_a_row_reads_as_pinned(self):
+        row = TrajectoryRow(3, 1.0, -0.0, 1e-300, 2.0, None, 1.23456)
+        assert row.csv() == "3,1,-0,1e-300,2,,1.235"
 
 
 class TestEmitReport:

@@ -284,7 +284,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("probe", [
-        "config-int", "config-float", "seed-list", "no-seeds", "negative-seed",
+        "config-int", "config-float", "seed-list", "no-seeds", "negative-seed", "repeated-seed",
         "dataset-dir", "config-dir", "non-ascii-dataset", "dataset-label", "dataset-feature",
         "dataset-n", "dataset-d", "model-weight", "model-layer-dims",
         "weights-missing-id", "weights-extra-id", "weights-duplicate-id",
@@ -348,6 +348,7 @@ class TestExitCodes:
             "seed-list": (("bench", "overfitting", "--seed-list", "0,x"), "'0,x'"),
             "no-seeds": (("bench", "overfitting", "--seeds", "0"), "[]"),
             "negative-seed": (("bench", "overfitting", "--seed-list", "-1"), "[-1]"),
+            "repeated-seed": (("bench", "overfitting", "--seed-list", "3,3,3"), "[3, 3, 3]"),
             "dataset-dir": (("verify", "dataset", str(tmp_path)), str(tmp_path)),
             "path-under-a-file": (("verify", "dataset", f"{moons_file}/x"), "Not a directory"),
             "path-too-long": (("verify", "dataset", str(tmp_path / ("x" * 300))),
