@@ -4,6 +4,8 @@ Source-freedom is enforced by signature: the SFDA/MSFDA trainers take no
 source dataset argument at all. Evaluation labels are supplied by the
 harness through `eval_set` and are used only for accuracy logging, never
 for gradients. A float overflow, invalid value or division by zero raises.
+Each trajectory row logs its step's batch losses; UDA's evaluating rows also
+log `mmd_full`, the full-dataset MMD diagnostic, which feeds no gradient.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .nn import (
     stack_models,
 )
 from .objectives import (
-    _cross_entropy, _diversity, _entropy, ensemble_weights, mix_probs, mmd_rbf, mmd_rbf_grad
+    _cross_entropy, _diversity, _entropy, ensemble_weights, mix_probs, mmd_full, mmd_rbf_grad
 )
 from .records import TrajectoryRow
 
@@ -119,7 +121,7 @@ def _usable_cpus() -> int:
 
 def _full_mmd(model, source, target) -> float:
     """The full-dataset MMD between the source and target features of `model`."""
-    return mmd_rbf(forward(model, source.features).features, forward(model, target.features).features)
+    return mmd_full(forward(model, source.features).features, forward(model, target.features).features)
 
 
 def _diagnose(source, target, snapshots, results, inherited) -> None:
@@ -207,8 +209,9 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
 
     Without a target, or at `lambda_uda == 0`, every step is the same
     supervised step, so UDA at lambda 0 is source training bit for bit.
-    With one, each evaluating row logs the full-dataset MMD of the model as
-    that step left it (`_diagnostics`), a diagnostic that feeds no gradient.
+    With one, every row logs the batch MMD in `loss_mmd`, and each evaluating
+    row also logs in `mmd_full` the full-dataset MMD of the model as that step
+    left it (`_diagnostics`), a diagnostic that feeds no gradient.
     """
     if source.labels is None:
         raise ParameterError(f"source dataset {source.domain_id!r} must be labeled")
@@ -233,17 +236,15 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
         grad = backward(model, tape_s, dce, lam * gx)
         sgd_step(model, add_gradient(grad, backward(model, tape_t, dfeat=lam * gy)), opt)
         if evaluating:
-            diagnose(it, model)  # its loss_mmd comes from the diagnostic
+            diagnose(it, model)
         return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
     with _diagnostics(source, target, values) if lam > 0 else nullcontext() as diagnose:
         rows = _drive(net, weights, cfg, eval_set, step)
-    for row in rows:
-        if row.iteration in values:
-            row.loss_mmd = values[row.iteration]
-            row.loss_total = row.loss_ce + lam * row.loss_mmd
+    for it, value in values.items():
+        rows[it].mmd_full = value  # row i logs step i
     return TrainerOutput([model], weights, rows)
 
 

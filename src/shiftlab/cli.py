@@ -8,6 +8,7 @@ worker or diagnostic helper process, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from dataclasses import fields, replace
@@ -315,6 +316,7 @@ def _defaults_epilog() -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shiftlab",

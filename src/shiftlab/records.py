@@ -11,7 +11,13 @@ import numpy as np
 
 @dataclass
 class TrajectoryRow:
-    """One trainer step; its fields, in order, are the trajectory CSV's columns."""
+    """One trainer step; its fields, in order, are the trajectory CSV's columns.
+
+    The losses are the step's batch estimates. `acc_target` is set on the
+    evaluating steps when there is an eval set, and `mmd_full` on UDA's
+    evaluating steps at `lambda_uda > 0`: the full-dataset MMD of the model
+    as the step left it. Both are None, an empty CSV field, elsewhere.
+    """
 
     iteration: int
     loss_total: float
@@ -19,6 +25,7 @@ class TrajectoryRow:
     loss_mmd: float = 0.0
     loss_im: float = 0.0
     acc_target: float | None = None
+    mmd_full: float | None = None
     ms: float = 0.0
 
     def csv(self) -> str:

@@ -192,7 +192,8 @@ class TestTrainUda:
 
 def reference_train_uda(source, target, cfg, eval_set=None):
     """The earlier UDA trainer, which computed its full-dataset MMD diagnostic
-    inline on the training thread; the reference for the helper process."""
+    inline on the training thread; the reference for the helper process. Each
+    row keeps its batch MMD, and an evaluating row also gets `mmd_full`."""
     model = init_model(source.d, num_classes=source.num_classes, seed=cfg.seed, domain_id=source.domain_id)
     net, (model,) = stack_models([model])
     opt = init_optimizer(model, cfg.learning_rate, cfg.momentum)
@@ -209,11 +210,11 @@ def reference_train_uda(source, target, cfg, eval_set=None):
         grad = backward(model, tape_s, dce, lam * gx)
         add_gradient(grad, backward(model, tape_t, dfeat=lam * gy))
         sgd_step(model, grad, opt)
+        row = TrajectoryRow(i, ce + lam * mmd_value, ce, mmd_value)
         if evaluating:
             fs = forward(model, source.features).features
             ft = forward(model, target.features).features
-            mmd_value = mmd_rbf(fs, ft)
-        row = TrajectoryRow(i, ce + lam * mmd_value, ce, mmd_value)
+            row.mmd_full = objectives.mmd_full(fs, ft)
         if eval_set is not None and evaluating:
             row.acc_target = adapt._ensemble_accuracy(net, np.array([1.0]), eval_set)
         rows.append(row)
@@ -276,7 +277,7 @@ class TestUdaDiagnosticThread:
         def failing(X, Y):
             raise RuntimeError("diagnostic failed")
 
-        monkeypatch.setattr(adapt, "mmd_rbf", failing)
+        monkeypatch.setattr(adapt, "mmd_full", failing)
         _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
         before = threading.active_count()
@@ -315,13 +316,13 @@ class TestUdaDiagnosticThread:
             deadline = time.monotonic() + 30
             while not release.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            return mmd_rbf(X, Y)
+            return objectives.mmd_full(X, Y)
 
         def counting(*args):
             steps.append(1)
             return sgd_step(*args)
 
-        monkeypatch.setattr(adapt, "mmd_rbf", stalled_mmd)
+        monkeypatch.setattr(adapt, "mmd_full", stalled_mmd)
         monkeypatch.setattr(adapt, "sgd_step", counting)
         _usable_cpus(monkeypatch, 2)
         seen = []
@@ -345,15 +346,16 @@ class TestUdaDiagnosticThread:
         ref_model, ref_rows = reference_train_uda(src, tgt, cfg, tgt_eval)
         assert params_equal(out.model, ref_model)
         assert [r.loss_mmd for r in out.rows] == [r.loss_mmd for r in ref_rows]
+        assert [r.mmd_full for r in out.rows] == [r.mmd_full for r in ref_rows]
 
     def test_helper_runs_in_the_callers_errstate(self, monkeypatch, tmp_path):
         states = tmp_path / "states.log"
 
         def recording_mmd(X, Y):
             log_line(states, (os.getpid(), np.geterr()))
-            return mmd_rbf(X, Y)
+            return objectives.mmd_full(X, Y)
 
-        monkeypatch.setattr(adapt, "mmd_rbf", recording_mmd)
+        monkeypatch.setattr(adapt, "mmd_full", recording_mmd)
         _usable_cpus(monkeypatch, 2)
         src, tgt, _ = uda_domains()
         with np.errstate(all="raise"):  # "under" is the caller's alone: no trainer sets it
@@ -440,6 +442,70 @@ class TestUdaDiagnosticThread:
         assert helper not in (os.getpid(), trainer.pid)
         assert _exited(helper)
         assert multiprocessing.active_children() == []
+
+
+class TestMmdFullColumn:
+    """`loss_mmd` is the batch estimate on every row; UDA's full-dataset MMD
+    diagnostic has its own column, `mmd_full`, set on its evaluating rows only."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_loss_mmd_is_the_batch_estimate_on_every_row(self, monkeypatch, lam, cpus):
+        batch = []
+
+        def recording(X, Y):
+            out = mmd_rbf_grad(X, Y)
+            batch.append(out[0])
+            return out
+
+        monkeypatch.setattr(adapt, "mmd_rbf_grad", recording)
+        _usable_cpus(monkeypatch, cpus)
+        src, tgt, tgt_eval = uda_domains()
+        rows = train_uda(src, tgt, AdaptationConfig(iterations=31, seed=4, lambda_uda=lam), tgt_eval).rows
+        assert [r.loss_mmd for r in rows] == batch
+        for r in rows:
+            assert r.loss_total == r.loss_ce + lam * r.loss_mmd
+
+    @pytest.mark.parametrize("with_eval", [True, False])
+    @pytest.mark.parametrize("iterations", [1, 10, 25])
+    def test_mmd_full_is_set_on_exactly_the_evaluating_rows(self, with_eval, iterations):
+        src, tgt, tgt_eval = uda_domains()
+        cfg = AdaptationConfig(iterations=iterations, seed=4)
+        out = train_uda(src, tgt, cfg, tgt_eval if with_eval else None)
+        evaluating = [i for i in range(iterations) if i % EVAL_INTERVAL == 0 or i == iterations - 1]
+        assert [r.iteration for r in out.rows if r.mmd_full is not None] == evaluating
+        # the last row's diagnostic is that of the trained model
+        fs, ft = (forward(out.model, ds.features).features for ds in (src, tgt))
+        assert out.rows[-1].mmd_full == pytest.approx(mmd_rbf(fs, ft), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("trainer", ["source", "uda-lambda-0", "sfda", "msfda", "ce-only", "ce+mmd"])
+    def test_mmd_full_is_empty_off_uda(self, trainer):
+        src, tgt, tgt_eval = uda_domains()
+        models = [init_model(2, 8, 2, seed=i, domain_id=f"s{i}") for i in range(2)]
+        cfg = AdaptationConfig(iterations=21, seed=4)
+        run = {
+            "source": lambda: train_source(src, cfg, tgt_eval),
+            "uda-lambda-0": lambda: train_uda(src, tgt, replace(cfg, lambda_uda=0.0), tgt_eval),
+            "sfda": lambda: train_sfda(models[0], tgt, cfg, tgt_eval),
+            "msfda": lambda: train_msfda(models, [0.5, 0.5], tgt, cfg, tgt_eval),
+        }.get(trainer, lambda: train_expanded_base(models, [0.5, 0.5], tgt, [src], trainer, cfg, tgt_eval))
+        rows = run().rows
+        assert len(rows) == 21 and all(r.mmd_full is None for r in rows)
+        assert all(r.csv().split(",")[-2] == "" for r in rows)
+
+    def test_rows_are_equal_at_1_and_2_cpus(self, monkeypatch):
+        src, tgt, tgt_eval = uda_domains()
+        cfg = AdaptationConfig(iterations=31, seed=4)
+        runs = []
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            runs.append(train_uda(src, tgt, cfg, tgt_eval))
+        one, two = runs
+        assert params_equal(one.model, two.model)
+        for a, b in zip(one.rows, two.rows, strict=True):
+            a.ms = b.ms = 0.0
+            assert a == b
+        assert sum(r.mmd_full is not None for r in one.rows) == 4  # steps 0, 10, 20 and 30
 
 
 class TestPseudoLabels:

@@ -600,8 +600,9 @@ class TestSuiteGuards:
 
 def frozen_csv(row):
     """`TrajectoryRow.csv` as it was written out field by field, before the
-    columns came from the row's fields."""
+    columns came from the row's fields, with the `mmd_full` column added."""
     acc = "" if row.acc_target is None else format(row.acc_target, ".17g")
+    mmd_full = "" if row.mmd_full is None else format(row.mmd_full, ".17g")
     return ",".join(
         [
             str(row.iteration),
@@ -610,6 +611,7 @@ def frozen_csv(row):
             format(row.loss_mmd, ".17g"),
             format(row.loss_im, ".17g"),
             acc,
+            mmd_full,
             format(row.ms, ".3f"),
         ]
     )
@@ -617,22 +619,25 @@ def frozen_csv(row):
 
 class TestTrajectoryCsv:
     def test_header_is_pinned(self):
-        assert CSV_HEADER == "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,ms"
+        assert CSV_HEADER == "iteration,loss_total,loss_ce,loss_mmd,loss_im,acc_target,mmd_full,ms"
 
     @pytest.mark.parametrize("row", [
         TrajectoryRow(0, 0.0),
-        TrajectoryRow(7, 3.0, 2.0, 1.0, 0.0, 1.0, 0.0),
-        TrajectoryRow(12, -0.0, -0.0, 1e-300, 5e-324, 0.5, 1.0005),
-        TrajectoryRow(299, 0.1 + 0.2, 1 / 3, 1e300, 2.0 ** 60, 0.123456789, 123.4565),
+        TrajectoryRow(7, 3.0, 2.0, 1.0, 0.0, 1.0, 4.0, 0.0),
+        TrajectoryRow(12, -0.0, -0.0, 1e-300, 5e-324, 0.5, -0.0, 1.0005),
+        TrajectoryRow(299, 0.1 + 0.2, 1 / 3, 1e300, 2.0 ** 60, 0.123456789, 1e-300, 123.4565),
         TrajectoryRow(1999, np.float64(0.7), np.float64(-1e-300), np.float64(2.0), 0.0,
-                      np.float64(0.25), 2.0 / 3.0),
-    ], ids=["defaults", "integer-valued", "signed-zero-and-tiny", "wide", "numpy"])
+                      np.float64(0.25), np.float64(5e-324), 2.0 / 3.0),
+        TrajectoryRow(20, 1.5, 0.5, 1.0, 0.0, None, 0.1 + 0.2, 0.0005),
+    ], ids=["defaults", "integer-valued", "signed-zero-and-tiny", "wide", "numpy", "mmd-only"])
     def test_rows_match_the_frozen_format(self, row):
         assert row.csv() == frozen_csv(row)
 
     def test_a_row_reads_as_pinned(self):
-        row = TrajectoryRow(3, 1.0, -0.0, 1e-300, 2.0, None, 1.23456)
-        assert row.csv() == "3,1,-0,1e-300,2,,1.235"
+        row = TrajectoryRow(3, 1.0, -0.0, 1e-300, 2.0, None, None, 1.23456)
+        assert row.csv() == "3,1,-0,1e-300,2,,,1.235"
+        row.acc_target, row.mmd_full = 0.5, 0.25
+        assert row.csv() == "3,1,-0,1e-300,2,0.5,0.25,1.235"
 
 
 class TestEmitReport:

@@ -453,6 +453,22 @@ class TestExitCodes:
                        "convergence_window=50", "convergence_tolerance=0.01", "eval_interval=10"):
             assert needle in out
 
+    def test_the_parser_is_built_once_and_reused_as_new(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        fresh = cli.build_parser.__wrapped__()
+        for argv in (["--help"], ["adapt", "--help"], ["bench", "--help"]):
+            texts = []
+            for parse in (cli.main, fresh.parse_args, cli.main):
+                with pytest.raises(SystemExit):
+                    parse(argv)
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] == texts[2] != ""
+        # a parse leaves nothing behind for the next one
+        first = cli.build_parser().parse_args(["bench", "fusion", "--seed-list", "1,2"])
+        second = cli.build_parser().parse_args(["bench", "fusion"])
+        assert (first.seed_list, second.seed_list) == ("1,2", None)
+        assert vars(cli.build_parser().parse_args(["defaults"])) == vars(fresh.parse_args(["defaults"]))
+
     def test_defaults_prints_config(self, capsys):
         assert run("defaults") == 0
         out = capsys.readouterr().out

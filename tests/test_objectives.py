@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -21,6 +22,7 @@ from shiftlab.objectives import (
     im_loss,
     median_bandwidths,
     mix_probs,
+    mmd_full,
     mmd_rbf,
     mmd_rbf_grad,
     _sq_dists,
@@ -615,6 +617,84 @@ class TestFrozenKernels:
         self.assert_frozen_bits(X, X, None)
         self.assert_frozen_bits(X, X.copy(), [1.0])
         self.assert_frozen_bits(np.zeros((4, 3)), np.zeros((6, 3)), None)
+
+
+def reference_mmd_full(X, Y):
+    """mmd_full as one expression per block: the kernel at 2 sigma^2, k, gives
+    k**2 at sigma^2 and (k**2)**2 at sigma^2 / 2; the terms add up in that
+    bandwidth order, as in mmd_rbf."""
+    pooled = np.vstack([X, Y])
+    sq = _sq_dists(pooled, pooled)
+    wide = median_bandwidths(sq)[2]
+    n = len(X)
+    k = [np.exp(d / -(2.0 * wide)) for d in (sq[:n, :n], sq[n:, n:], sq[:n, n:])]
+    k2 = [a * a for a in k]
+    k4 = [a * a for a in k2]
+    total = 0.0
+    for xx, yy, xy in (k4, k2, k):
+        total += xx.mean() + yy.mean() - 2.0 * xy.mean()
+    return float(total / 3)
+
+
+class TestMmdFull:
+    """mmd_full, the one-exp diagnostic, agrees with mmd_rbf at the median heuristic."""
+
+    @pytest.mark.parametrize("n, m, d", [(1, 1, 1), (1, 7, 3), (50, 70, 33), (400, 400, 64)])
+    def test_matches_its_reference_bit_for_bit(self, n, m, d):
+        rng = np.random.default_rng([n, m, d])
+        X, Y = np.tanh(rng.normal(size=(n, d))), np.tanh(rng.normal(size=(m, d)) + 0.5)
+        assert mmd_full(X, Y) == reference_mmd_full(X, Y)
+
+    def test_matches_its_reference_bit_for_bit_on_random_shapes(self):
+        # the bandwidth order of the sum shows in the bits of about 1 case in 100
+        rng = np.random.default_rng(7)
+        for case in range(300):
+            n, m, d = int(rng.integers(1, 80)), int(rng.integers(1, 80)), int(rng.integers(1, 40))
+            X = np.tanh(rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0))
+            Y = np.tanh(rng.normal(size=(m, d)) + rng.uniform(-1.0, 1.0))
+            assert mmd_full(X, Y) == reference_mmd_full(X, Y), (case, n, m, d)
+
+    def test_agrees_with_mmd_rbf_on_random_shapes_and_ties(self):
+        rng = np.random.default_rng(25)
+        for case in range(400):
+            n, m = rng.choice(300, size=2, replace=False) + 1  # n != m
+            if case % 10 == 0:
+                n = 1  # a one-row side
+            d = int(rng.integers(1, 65))
+            X = np.tanh(rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0))
+            Y = np.tanh(rng.normal(size=(m, d)) + rng.uniform(-1.0, 1.0))
+            if rng.random() < 0.3:  # tied rows, within and across the samples
+                X[n // 2 :] = X[0]
+                Y[: (m + 1) // 2] = X[-1]
+            assert mmd_full(X, Y) == pytest.approx(mmd_rbf(X, Y), rel=1e-13, abs=1e-15), (n, m, d)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 300), (300, 1), (400, 400)])
+    def test_agrees_at_the_edges(self, n, m):
+        rng = np.random.default_rng([n, m])
+        X, Y = np.tanh(rng.normal(size=(n, 16))), np.tanh(rng.normal(size=(m, 16)) + 0.5)
+        assert mmd_full(X, Y) == pytest.approx(mmd_rbf(X, Y), rel=1e-13, abs=1e-15)
+
+    def test_identical_samples_give_exactly_zero(self):
+        X = np.random.default_rng(3).normal(size=(40, 5))
+        assert mmd_full(X, X) == 0.0
+        assert mmd_full(X, X.copy()) == 0.0
+        assert mmd_full(np.zeros((4, 3)), np.zeros((6, 3))) == 0.0
+
+    @pytest.mark.parametrize("X, Y", [
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+        (np.zeros((0, 2)), np.ones((3, 2))),
+        (np.ones((3, 2)), np.zeros((0, 2))),
+        (np.zeros(3), np.zeros((3, 1))),
+        (np.zeros((2, 2, 2)), np.zeros((2, 2))),
+        (np.array([[0.0, np.nan]]), np.ones((3, 2))),
+        (np.zeros((3, 2)), np.array([[np.inf, 0.0]])),
+        (np.zeros((3, 2)), np.array([[0.0, -np.inf]])),
+    ], ids=["columns", "empty-x", "empty-y", "1-d", "3-d", "nan", "inf", "-inf"])
+    def test_refuses_what_mmd_rbf_refuses(self, X, Y):
+        with pytest.raises(ParameterError) as expected:
+            mmd_rbf(X, Y)
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(expected.value))}$"):
+            mmd_full(X, Y)
 
 
 class TestMmdGrad:
