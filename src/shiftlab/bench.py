@@ -73,14 +73,13 @@ class ScenarioSpec:
     paradigm: str
     target: MoonsRecipe
     config: AdaptationConfig = field(default_factory=AdaptationConfig)
-    shared: tuple | None = None  # sources whose data MEA scores models on; None: all
-    expanded_visible: list | None = None  # domain ids injected as visible data
+    visible: tuple | None = None  # sources whose labeled data the run may read; None: all
 
     def __post_init__(self) -> None:
         if self.paradigm not in PARADIGMS:
             raise ParameterError(f"paradigm must be one of {PARADIGMS}, got {self.paradigm!r}")
-        if self.paradigm == "expanded-base" and not self.expanded_visible:
-            raise ParameterError("expanded-base requires expanded_visible domains")
+        if self.paradigm == "expanded-base" and not self.visible:
+            raise ParameterError("expanded-base requires explicit visible domains")
 
 
 def _check_seeds(seeds) -> None:
@@ -149,13 +148,15 @@ def _wait(context, result):
 
 
 def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
-    """One run of `spec` at `seed` on that seed's source datasets and models."""
+    """One run of `spec` at `seed` on that seed's source datasets and models.
+    uda, msfda-mea and expanded-base read the datasets of `spec.visible`; the
+    other paradigms read none."""
     target_eval = spec.target.build(target_seed, "target")
     target = target_eval.unlabeled()
     cfg = replace(spec.config, seed=seed)
-    if spec.paradigm == "uda":  # trains its own model from the first source's data
-        first = next(iter(datasets.values()))
-        out = train_uda(first, target, cfg, eval_set=target_eval)
+    visible = {d: datasets[d] for d in spec.visible or datasets}
+    if spec.paradigm == "uda":  # trains its own model from the first visible source's data
+        out = train_uda(next(iter(visible.values())), target, cfg, eval_set=target_eval)
     elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
         weights = np.full(len(models), 1.0 / len(models))
         acc = _ensemble_accuracy(stack_models(models)[0], weights, target_eval)
@@ -166,12 +167,10 @@ def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
     elif spec.paradigm == "msfda-uniform":
         out = train_msfda(models, None, target, cfg, eval_set=target_eval)
     elif spec.paradigm == "msfda-mea":
-        shared = {d: datasets[d] for d in spec.shared or datasets}
-        out = train_msfda(models, shared, target, cfg, eval_set=target_eval)
+        out = train_msfda(models, visible, target, cfg, eval_set=target_eval)
     elif spec.paradigm == "expanded-base":
-        visible = [datasets[d] for d in spec.expanded_visible]
         out = train_expanded_base(
-            models, None, target, visible, "ce-only", cfg, eval_set=target_eval
+            models, None, target, list(visible.values()), "ce-only", cfg, eval_set=target_eval
         )
     run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
     return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
@@ -276,8 +275,8 @@ def _majority(flags) -> bool:
 # ---------------------------------------------------------------------------
 # Suites
 
-# Two sources near the target and one with permuted labels (srcC), shared by
-# the negative-transfer and fusion suites.
+# Two sources near the target and one with permuted labels, the adversary,
+# shared by the negative-transfer and fusion suites.
 _MIXED_SOURCES = {
     "srcA": MoonsRecipe(rotation=5.0),
     "srcB": MoonsRecipe(rotation=15.0),
@@ -328,17 +327,17 @@ def convergence_suite(seeds, out_dir=None) -> dict:
 def negative_transfer_suite(seeds, out_dir=None) -> dict:
     """Adversarial-source suite: uniform MSFDA vs MEA vs expanded base."""
     target = MoonsRecipe(rotation=30.0)
+    adversary = next(d for d, recipe in _MIXED_SOURCES.items() if recipe.adversarial)
+    adv_index = list(_MIXED_SOURCES).index(adversary)  # its model's position
     uniform, mea_runs, expanded = run_scenario(
         _MIXED_SOURCES,
         [
             ScenarioSpec("negxfer", "msfda-uniform", target, ADAPT_CONFIG),
             ScenarioSpec("negxfer", "msfda-mea", target, ADAPT_CONFIG),
-            ScenarioSpec("negxfer", "expanded-base", target, ADAPT_CONFIG,
-                         expanded_visible=["srcC"]),
+            ScenarioSpec("negxfer", "expanded-base", target, ADAPT_CONFIG, visible=(adversary,)),
         ],
         seeds,
     )
-    adv_index = 2  # srcC is the third model
 
     per_seed = []
     for s, ru, rm, re_ in zip(seeds, uniform, mea_runs, expanded):
@@ -407,9 +406,8 @@ def _overfit_seed(seed):
     cfg = replace(ADAPT_CONFIG, seed=seed)
     src_model = train_source(src, replace(SOURCE_CONFIG, seed=seed)).model
     out = train_sfda(src_model, tr.unlabeled(), cfg, eval_set=tr)
-    net = stack_models(out.models)[0]
-    acc_train = _ensemble_accuracy(net, out.weights, tr)
-    acc_test = _ensemble_accuracy(net, out.weights, te)
+    acc_train = final_accuracy(out.rows)  # the last row scores the train split after the last step
+    acc_test = _ensemble_accuracy(stack_models(out.models)[0], out.weights, te)
     gap = abs(acc_train - acc_test)
     record = ExperimentRecord(f"sfda->target-s{seed}", "sfda", "sfda", out.rows, out.weights)
     return record, dict(seed=seed, acc_train=acc_train, acc_test=acc_test, gap=gap,
@@ -423,7 +421,7 @@ def fusion_suite(seeds, out_dir=None) -> dict:
     specs = [
         ScenarioSpec(
             f"moons{int(rot)}", paradigm, MoonsRecipe(rotation=rot), ADAPT_CONFIG,
-            shared=("srcA", "srcB"),  # srcC shares its model only
+            visible=("srcA", "srcB"),  # the adversary shares its model only
         )
         for rot in rotations
         for paradigm in paradigms
@@ -448,7 +446,6 @@ def fusion_suite(seeds, out_dir=None) -> dict:
     report = {
         "suite": "fusion",
         "per_seed": per_seed,
-        "table": {f"{p}|{sc}": float(np.mean(v)) for (p, sc), v in accs.items()},
         "passed": _majority(p["mea_ge_uniform"] for p in per_seed),
     }
     if out_dir is not None:

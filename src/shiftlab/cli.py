@@ -1,8 +1,10 @@
 """Command-line surface: gen, train-source, adapt, estimate, bench, verify, defaults.
 
-Exit codes: 0 success/pass, 1 bench acceptance failure, 2 usage, config or
-file-format error, or a path the OS refuses, 3 numeric failure, 4 a dead
-worker or diagnostic helper process, 130 interrupted (Ctrl-C).
+Exit codes: 0 success/pass, 1 bench acceptance failure (only), 2 usage, config
+or file-format error, or a path the OS refuses, 3 numeric or memory failure,
+4 a dead worker or diagnostic helper process, 70 an internal error (a bug: its
+traceback is on stderr), 130 interrupted (Ctrl-C). `bench` takes --seeds or
+--seed-list, not both.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import sys
+import traceback
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -37,6 +40,7 @@ EXIT_ACCEPTANCE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_WORKER = 4
+EXIT_SOFTWARE = 70  # EX_SOFTWARE in BSD's sysexits.h: an internal error
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 CONFIG_SECTIONS = {"adapt"}
@@ -382,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark suite")
     p.add_argument("suite")
-    p.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
-    p.add_argument("--seed-list", dest="seed_list", help="comma-separated explicit seeds")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=int, default=5, help="use seeds 0..N-1")
+    seeds.add_argument("--seed-list", dest="seed_list", help="comma-separated explicit seeds")
     p.add_argument("--out", help="report output directory")
     p.set_defaults(func=cmd_bench)
 
@@ -404,8 +409,9 @@ def main(argv=None) -> int:
         # an overflowing or invalid float is a numeric error, not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (NumericError, FloatingPointError, WorkerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NumericError, FloatingPointError, MemoryError, WorkerError) as exc:
+        # a MemoryError that Python itself raises has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_WORKER if isinstance(exc, WorkerError) else EXIT_NUMERIC
     # a path the OS refuses (missing, a directory, too long, ...) is a usage error too
     except (ShiftLabError, OSError, UnicodeDecodeError) as exc:
@@ -414,6 +420,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except Exception:  # a bug: its traceback is the report
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

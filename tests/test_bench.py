@@ -13,7 +13,7 @@ import pytest
 
 import shiftlab
 from shiftlab import adapt, bench, cli, mea
-from shiftlab.adapt import AdaptationConfig
+from shiftlab.adapt import AdaptationConfig, TrainerOutput, _ensemble_accuracy
 from shiftlab.bench import (
     MoonsRecipe,
     ScenarioSpec,
@@ -23,6 +23,7 @@ from shiftlab.bench import (
     run_scenario,
 )
 from shiftlab.errors import ParameterError, WorkerError
+from shiftlab.nn import stack_models
 from shiftlab.records import CSV_HEADER, ExperimentRecord, TrajectoryRow, final_accuracy
 
 
@@ -133,7 +134,8 @@ class TestRunScenario:
         monkeypatch.setattr(mea, "estimate", spying)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
-            ScenarioSpec("tiny", paradigm, target, TINY, expanded_visible=["b"])
+            ScenarioSpec("tiny", paradigm, target, TINY,
+                         visible=["b"] if paradigm == "expanded-base" else None)
             for paradigm in bench.PARADIGMS
         ]
         runs = run_scenario(SOURCES, specs, [2])
@@ -279,12 +281,73 @@ class TestSharedData:
         monkeypatch.setattr(mea, "estimate", counting)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
-            ScenarioSpec("tiny", "msfda-mea", target, TINY, shared=shared)
-            for shared in (("a",), None)
+            ScenarioSpec("tiny", "msfda-mea", target, TINY, visible=visible)
+            for visible in (("a",), None)
         ]
         run_scenario(SOURCES, specs, [0])
         received = [call for i in range(len(specs)) for call in read_lines(tmp_path / f"{i}.log")]
         assert received == [[("a", "a")], [("a", "a"), ("b", "b")]]
+
+
+def _fake_data_trainers(monkeypatch, log):
+    """Replace the trainers that can read source data with fakes that log, by
+    paradigm, the domain ids of the datasets a run passes them, and return one row."""
+    def logged(paradigm, datasets):
+        log_line(log, (paradigm, None if datasets is None else [ds.domain_id for ds in datasets]))
+        return TrainerOutput([], np.array([1.0]), [TrajectoryRow(0, 0.0, acc_target=0.5)])
+
+    def uda(source, target, cfg, eval_set=None):
+        return logged("uda", [source])
+
+    def msfda(models, weights, target, cfg, eval_set=None):
+        if weights is None:
+            return logged("msfda-uniform", None)
+        assert all(d == ds.domain_id for d, ds in weights.items())
+        return logged("msfda-mea", list(weights.values()))
+
+    def expanded(models, weights, target, visible, mode, cfg, eval_set=None):
+        return logged("expanded-base", visible)
+
+    monkeypatch.setattr(bench, "train_uda", uda)
+    monkeypatch.setattr(bench, "train_msfda", msfda)
+    monkeypatch.setattr(bench, "train_expanded_base", expanded)
+
+
+# suite -> paradigm -> the source domains each of its runs at one seed reads (None: none)
+SUITE_DATA = {
+    "fusion": {"msfda-uniform": [None] * 3, "msfda-mea": [["srcA", "srcB"]] * 3},
+    "negative-transfer": {"msfda-uniform": [None], "msfda-mea": [["srcA", "srcB", "srcC"]],
+                          "expanded-base": [["srcC"]]},
+    "convergence": {"uda": [["src"]]},
+}
+
+
+class TestSuiteScenarios:
+    @pytest.mark.parametrize("suite", SUITE_DATA)
+    def test_each_run_reads_the_sources_its_scenario_shares(self, monkeypatch, tmp_path, suite):
+        log = tmp_path / "received.log"
+        _fake_data_trainers(monkeypatch, log)
+        bench.SUITES[suite]([0])
+        received = {}
+        for paradigm, domains in read_lines(log):
+            received.setdefault(paradigm, []).append(domains)
+        assert received == SUITE_DATA[suite]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overfitting_acc_train_is_its_records_final_accuracy(self, monkeypatch, seed):
+        # the last row scores the train split after the last step: the same
+        # accuracy as the adapted ensemble scored afresh
+        outputs, train_sfda = [], bench.train_sfda
+
+        def keeping(model, target, cfg, eval_set=None):
+            outputs.append((train_sfda(model, target, cfg, eval_set=eval_set), eval_set))
+            return outputs[-1][0]
+
+        monkeypatch.setattr(bench, "train_sfda", keeping)
+        record, entry = bench._overfit_seed(seed)
+        ((out, train_split),) = outputs
+        rescored = _ensemble_accuracy(stack_models(out.models)[0], out.weights, train_split)
+        assert entry["acc_train"] == final_accuracy(record.rows) == rescored
 
 
 def _usable_cpus(monkeypatch, cpus):
@@ -381,7 +444,8 @@ class TestWorkers:
         monkeypatch.setattr(bench, "_run_spec", recording)
         target = MoonsRecipe(n=60, rotation=20.0)
         specs = [
-            ScenarioSpec("tiny", paradigm, target, TINY, expanded_visible=["b"])
+            ScenarioSpec("tiny", paradigm, target, TINY,
+                         visible=["b"] if paradigm == "expanded-base" else None)
             for paradigm in bench.PARADIGMS
         ]
         _usable_cpus(monkeypatch, 2)

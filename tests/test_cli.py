@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import io
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from shiftlab import cli
+from shiftlab import adapt, bench, cli
 from shiftlab.adapt import AdaptationConfig
 from shiftlab.datagen import Dataset, gen_two_moons, load_dataset, save_dataset
 from shiftlab.errors import NumericError, ShiftLabError
@@ -443,6 +446,71 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "train_source", boom)
         assert run("train-source", "--data", str(moons_file),
                    "--out", str(tmp_path / "m.model")) == 3
+
+    @pytest.mark.parametrize("where", ["inline", "worker", "helper"])
+    def test_memory_error_exits_3_with_one_error_line(self, monkeypatch, tmp_path, capfd,
+                                                      moons_file, target_file, where):
+        # raised, not allocated: inline, in a bench pool worker (which names its
+        # seed) and in UDA's diagnostic helper (whose error the trainer re-raises)
+        caller, message = os.getpid(), "Unable to allocate 1.49 GiB for an array"
+        line = f"error: {message}\n"
+
+        def out_of_memory(*args, **kwargs):
+            if where != "inline" and os.getpid() == caller:
+                raise AssertionError("raised in the calling process")
+            raise MemoryError(message)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # 2 usable CPUs
+        if where == "inline":
+            monkeypatch.setattr(cli, "gen_two_moons", out_of_memory)
+            argv = ["gen", "two-moons", "--out", str(tmp_path / "m.csv")]
+        elif where == "worker":
+            monkeypatch.setattr(bench, "_overfit_seed", out_of_memory)
+            argv = ["bench", "overfitting", "--seed-list", "0,1", "--out", str(tmp_path)]
+            line = f"error: seed 0: {message}\n"
+        else:
+            monkeypatch.setattr(adapt, "mmd_full", out_of_memory)
+            argv = ["adapt", "--paradigm", "uda", "--source-data", str(moons_file),
+                    "--target", str(target_file), "--iterations", "11"]
+        capfd.readouterr()  # the fixtures' output
+        assert (run(*argv), *capfd.readouterr()) == (3, "", line)
+
+    def test_a_bare_memory_error_names_its_type(self, monkeypatch, tmp_path, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "gen_two_moons", out_of_memory)
+        assert run("gen", "two-moons", "--out", str(tmp_path / "m.csv")) == 3
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
+    def test_any_other_exception_exits_70_with_its_traceback(self, monkeypatch, tmp_path, capsys):
+        def bug(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "gen_two_moons", bug)
+        assert run("gen", "two-moons", "--out", str(tmp_path / "m.csv")) == 70
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: a bug\n")
+
+    def test_only_cmd_bench_exits_1(self):
+        # 1 means a failed acceptance: no other function in cli may return it
+        def codes(value):  # what a return statement's value can be
+            if isinstance(value, ast.IfExp):
+                return codes(value.body) + codes(value.orelse)
+            return [ast.unparse(value)]
+
+        tree = ast.parse(Path(cli.__file__).read_text())
+        returning_1 = {
+            func.name
+            for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+            for ret in ast.walk(func) if isinstance(ret, ast.Return) and ret.value is not None
+            if {"EXIT_ACCEPTANCE", "1"} & set(codes(ret.value))
+        }
+        assert returning_1 == {"cmd_bench"} and cli.EXIT_ACCEPTANCE == 1
+
+    def test_seeds_and_seed_list_together_are_a_usage_error(self):
+        assert run_under_contract(["bench", "overfitting", "--seeds", "2", "--seed-list", "0"]) == 2
 
     def test_help_enumerates_defaults(self, capsys):
         with pytest.raises(SystemExit) as exc:
