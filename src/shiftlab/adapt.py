@@ -22,6 +22,7 @@ from .datagen import Dataset
 from .errors import ParameterError, WorkerError
 from .nn import (
     SourceModel,
+    Tape,
     add_gradient,
     backward,
     forward,
@@ -85,19 +86,30 @@ def _stream(n: int, cfg: AdaptationConfig, stream_id: int):
             yield order[start : start + size]
 
 
-def _ensemble_accuracy(net: SourceModel, weights, eval_set: Dataset) -> float:
+def _full_pass(net: SourceModel, X, workspace: dict | None) -> Tape:
+    """`forward(net, X)`, written into the tape that a run's `workspace` keeps
+    for X's shape once a first pass has made it; fresh without a workspace."""
+    if workspace is None:
+        return forward(net, X)
+    tape = workspace.get(X.shape)
+    workspace[X.shape] = tape = forward(net, X) if tape is None else forward(net, X, tape)
+    return tape
+
+
+def _ensemble_accuracy(net: SourceModel, weights, eval_set: Dataset, workspace: dict | None = None) -> float:
     """Accuracy on `eval_set` of the stack `net`, its members mixed by `weights`."""
-    probs = mix_probs(weights, forward(net, eval_set.features).probs)
+    probs = mix_probs(weights, _full_pass(net, eval_set.features, workspace).probs)
     return float(np.mean(probs.argmax(axis=1) == eval_set.labels))
 
 
-def _drive(net, weights, cfg, eval_set, step) -> list:
+def _drive(net, weights, cfg, eval_set, step, workspace: dict) -> list:
     """Run `cfg.iterations` steps and return one trajectory row per step.
 
     `step(i, evaluating)` updates the stack `net` and returns the row's loss
     fields; `evaluating` marks the steps whose row also gets the accuracy on
-    `eval_set` of net's members mixed by `weights`. The batch tapes are
-    locals of the step, so they are freed before that full-dataset pass.
+    `eval_set` of net's members mixed by `weights`, a pass into the run's
+    `workspace`. The batch tapes are locals of the step, so they are freed
+    before that full-dataset pass.
     """
     if eval_set is not None and eval_set.labels is None:
         raise ParameterError(f"eval set {eval_set.domain_id!r} has no labels to score accuracy on")
@@ -108,7 +120,7 @@ def _drive(net, weights, cfg, eval_set, step) -> list:
         evaluating = i % EVAL_INTERVAL == 0 or i == cfg.iterations - 1
         row = TrajectoryRow(iteration=i, **step(i, evaluating))
         if eval_set is not None and evaluating:
-            row.acc_target = _ensemble_accuracy(net, weights, eval_set)
+            row.acc_target = _ensemble_accuracy(net, weights, eval_set, workspace)
         row.ms = (clock() - t0) * 1e3
         rows.append(row)
     return rows
@@ -242,7 +254,7 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
     with _diagnostics(source, target, values) if lam > 0 else nullcontext() as diagnose:
-        rows = _drive(net, weights, cfg, eval_set, step)
+        rows = _drive(net, weights, cfg, eval_set, step, {})
     for it, value in values.items():
         rows[it].mmd_full = value  # row i logs step i
     return TrainerOutput([model], weights, rows)
@@ -271,7 +283,7 @@ def _cosine_distances(feats: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return 1.0 - fn @ cn.swapaxes(-1, -2)
 
 
-def _ensemble_pseudo_labels(net: SourceModel, weights, X) -> np.ndarray:
+def _ensemble_pseudo_labels(net: SourceModel, weights, X, workspace: dict | None = None) -> np.ndarray:
     """Two-round weighted nearest-centroid pseudo labels (SHOT style).
 
     `net` stacks the members, `weights` holds their ensemble weights. Round 1
@@ -279,11 +291,10 @@ def _ensemble_pseudo_labels(net: SourceModel, weights, X) -> np.ndarray:
     feature means and assigns each sample to the class minimizing the
     weight-averaged cosine distance. Round 2 recomputes centroids from the
     hard assignments (empty classes keep their round-1 centroid) and
-    reassigns.
+    reassigns. The forward pass goes into `workspace` (see `_full_pass`).
     """
-    tape = forward(net, X)
+    tape = _full_pass(net, X, workspace)
     feats, probs = tape.features, mix_probs(weights, tape.probs)
-    del tape  # keep features and probs only, not the full-dataset activations
     centroids = (probs.T @ feats) / (probs.sum(axis=0)[:, None] + 1e-8)
 
     def assign() -> np.ndarray:
@@ -327,11 +338,12 @@ def _adapt_loop(
     vs_streams = [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources or [])]
     lam = cfg.lambda_uda
     pl = None
+    workspace = {}  # the full-dataset passes' tapes, freed with this run
 
     def step(it, evaluating):
         nonlocal pl
         if cfg.beta_pseudo > 0 and it % cfg.pseudo_refresh == 0:
-            pl = _ensemble_pseudo_labels(net, wa, target.features)
+            pl = _ensemble_pseudo_labels(net, wa, target.features, workspace)
         idx = next(stream)
         tape = forward(net, target.features[idx])
         ens = mix_probs(wa, tape.probs)
@@ -364,14 +376,14 @@ def _adapt_loop(
                         mmd_value += scale * wa[k] * mv
                         gs[k], gt[k] = c * gx, c * gy
                     dfeat = gt if dfeat is None else dfeat + gt
-                vis_grads.append(backward(net, tape_s, per_member * (scale * dce_s), gs))
+                vis_grads.append(backward(net, tape_s, per_member * (scale * dce_s), gs, classifier=False))
 
-        # one backward through the target tape, carrying its IM/CE probs and MMD features
-        grad = backward(net, tape, per_member * dprobs, dfeat)
+        # one backward through the target tape, carrying its IM/CE probs and MMD
+        # features; the classifier, the last layer, gets no gradient and stays
+        # the source hypothesis
+        grad = backward(net, tape, per_member * dprobs, dfeat, classifier=False)
         for g in vis_grads:
             add_gradient(grad, g)
-        for g in grad[-1]:
-            g[...] = 0.0  # the classifier, the last layer, stays the source hypothesis
         sgd_step(net, grad, opt)
         return {
             "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
@@ -380,7 +392,7 @@ def _adapt_loop(
             "loss_im": im,
         }
 
-    return TrainerOutput(models, weights, _drive(net, wa, cfg, eval_set, step))
+    return TrainerOutput(models, weights, _drive(net, wa, cfg, eval_set, step, workspace))
 
 
 def train_sfda(

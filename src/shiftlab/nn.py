@@ -67,9 +67,10 @@ def zeros_gradient(model: SourceModel) -> list[Layer]:
 
 
 def add_gradient(grad: list[Layer], other: list[Layer]) -> list[Layer]:
-    """Adds `other` into `grad`, in place, and returns `grad`."""
+    """Adds `other` into `grad`, in place, and returns `grad`. A layer with no
+    gradient (None) in `grad` has none in `other` either."""
     for mine, theirs in zip(grad, other):
-        for a, b in zip(mine, theirs):
+        for a, b in zip(mine or (), theirs or ()):
             a += b
     return grad
 
@@ -132,11 +133,11 @@ def stack_models(models: list[SourceModel]) -> tuple[SourceModel, list[SourceMod
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stabilization."""
-    p = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    """Row-wise softmax with max-subtraction stabilization, in place on `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 class Tape(NamedTuple):
@@ -147,8 +148,13 @@ class Tape(NamedTuple):
     acts: list  # [X, a1, ..., features], one entry per tanh layer input/output
 
 
-def forward(model: SourceModel, X: np.ndarray) -> Tape:
-    """Runs a batch through the model; `tape[0:2]` is (features, probs)."""
+def forward(model: SourceModel, X: np.ndarray, out: Tape | None = None) -> Tape:
+    """Runs a batch through the model; `tape[0:2]` is (features, probs).
+
+    With `out`, an earlier tape of this model on a batch of X's shape, the
+    pass writes into out's arrays by the same operations, so it allocates no
+    activations and returns the values a fresh pass would, bit for bit.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise ParameterError(
@@ -157,12 +163,12 @@ def forward(model: SourceModel, X: np.ndarray) -> Tape:
         )
     *hidden, head = model.layers
     acts = [X]
-    for w, b in hidden:
-        z = acts[-1] @ w.swapaxes(-1, -2)
+    for i, (w, b) in enumerate(hidden, 1):
+        z = np.matmul(acts[-1], w.swapaxes(-1, -2), out=None if out is None else out.acts[i])
         z += b[..., None, :]
         acts.append(np.tanh(z, out=z))
     features = acts[-1]
-    logits = features @ head.weight.swapaxes(-1, -2)
+    logits = np.matmul(features, head.weight.swapaxes(-1, -2), out=None if out is None else out.probs)
     logits += head.bias[..., None, :]
     return Tape(features, softmax(logits), acts)
 
@@ -172,9 +178,11 @@ def backward(
     tape: Tape,
     dprobs: np.ndarray | None = None,
     dfeat: np.ndarray | None = None,
+    classifier: bool = True,
 ) -> list[Layer]:
     """Exact analytic gradients for upstream gradients on the probabilities
-    and/or the features that `forward` returned, one pair per model layer.
+    and/or the features that `forward` returned, one pair per model layer;
+    with `classifier` False, the classifier's entry is None, not computed.
 
     `tape` is `forward(model, X)` for the same parameters. Any reduction
     (e.g. the 1/batch of a mean loss) must already be folded into the
@@ -190,10 +198,12 @@ def backward(
             raise ParameterError("dprobs shape mismatch")
         # through the softmax: d logits = p * (d probs - <d probs, p>), row by row
         dlogits = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-        grads[-1] = Layer(dlogits.swapaxes(-1, -2) @ features, dlogits.sum(axis=-2))
+        if classifier:
+            grads[-1] = Layer(dlogits.swapaxes(-1, -2) @ features, dlogits.sum(axis=-2))
         g = dlogits @ head.weight
     else:
-        grads[-1] = Layer(np.zeros_like(head.weight), np.zeros_like(head.bias))
+        if classifier:
+            grads[-1] = Layer(np.zeros_like(head.weight), np.zeros_like(head.bias))
         g = np.zeros_like(features)
 
     if dfeat is not None:
@@ -214,13 +224,17 @@ def backward(
 
 
 def sgd_step(model: SourceModel, grad: list[Layer], state: OptimizerState) -> None:
-    """Momentum SGD update, in place on the arrays of `model` and `state`.
+    """Momentum SGD update, in place on the arrays of `model` and `state`. A
+    layer whose gradient is None keeps its parameters and velocity.
 
     Raises NumericError, touching nothing, if any gradient entry is non-finite.
     """
-    if not all(np.isfinite(g).all() for pair in grad for g in pair):
+    if not all(np.isfinite(g).all() for pair in grad if pair is not None for g in pair):
         raise NumericError("non-finite gradient entry; aborting step")
-    for (w, b), (gw, gb), (vw, vb) in zip(model.layers, grad, state.velocity):
+    for (w, b), pair, (vw, vb) in zip(model.layers, grad, state.velocity):
+        if pair is None:
+            continue
+        gw, gb = pair
         vw *= state.momentum
         vw += gw
         vb *= state.momentum

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -524,6 +526,37 @@ class TestPseudoLabels:
         assert np.array_equal(a, b)
 
 
+class TestWorkspace:
+    """A run's full-dataset passes, its accuracy and pseudo-label passes, write
+    into one tape that the run makes on first use."""
+
+    def test_later_accuracy_pass_allocates_less_than_one_activation(self, monkeypatch):
+        # deterministic, unlike a timing: the bytes numpy allocates during an
+        # accuracy pass of 3 members on 400 rows, against one (3, 400, 64)
+        # float64 activation, of which a fresh pass allocates two; and the
+        # workspace is freed when the trainer returns
+        peaks, freed, original = [], [], adapt._ensemble_accuracy
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return original(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+                freed.extend(weakref.ref(t.features) for workspace in args[3:] for t in workspace.values())
+
+        monkeypatch.setattr(adapt, "_ensemble_accuracy", traced)
+        models = [init_model(2, seed=k, domain_id=f"s{k}") for k in range(3)]
+        tgt = moons(rotation=20.0, n=400, seed=7, domain_id="t")
+        out = train_msfda(models, None, tgt.unlabeled(), AdaptationConfig(iterations=EVAL_INTERVAL + 1), tgt)
+        one = 3 * 400 * 64 * 8
+        assert len(peaks) == 2 and peaks[1] < one
+        assert freed and all(ref() is None for ref in freed)
+        traced(stack_models(out.models)[0], out.weights, tgt)  # outside a run: a fresh pass
+        assert peaks[2] > 2 * one
+
+
 class TestTrainSfda:
     def _source_and_target(self, seed=0):
         src = moons(n=400, seed=seed * 1000 + 1)
@@ -543,12 +576,27 @@ class TestTrainSfda:
         assert wins >= 2
 
     def test_classifier_frozen(self):
+        # in every source-free trainer: sfda, msfda with uniform and MEA
+        # weights, and the expanded base in both modes
         model, tgt = self._source_and_target(1)
-        out = train_sfda(model, tgt.unlabeled(), AdaptationConfig(iterations=60, seed=1))
-        assert np.array_equal(out.model.layers[-1].weight, model.layers[-1].weight)
-        assert np.array_equal(out.model.layers[-1].bias, model.layers[-1].bias)
-        # the tanh layers did move
-        assert not np.array_equal(out.model.layers[0].weight, model.layers[0].weight)
+        other = train_source(moons(rotation=10.0, n=400, seed=1500, domain_id="other"),
+                             AdaptationConfig(iterations=300, seed=2)).model
+        src, pair = moons(n=400, seed=1001), [model, other]
+        cfg = AdaptationConfig(iterations=60, seed=1)
+        outs = {
+            "sfda": train_sfda(model, tgt.unlabeled(), cfg),
+            "msfda-uniform": train_msfda(pair, None, tgt.unlabeled(), cfg),
+            "msfda-mea": train_msfda(pair, {"src": src}, tgt.unlabeled(), cfg),
+            **{mode: train_expanded_base(pair, None, tgt.unlabeled(), [src], mode, cfg)
+               for mode in adapt.EXPANDED_MODES},
+        }
+        for name, out in outs.items():
+            for adapted, source in zip(out.models, [model] if name == "sfda" else pair, strict=True):
+                assert np.array_equal(adapted.layers[-1].weight, source.layers[-1].weight), name
+                assert np.array_equal(adapted.layers[-1].bias, source.layers[-1].bias), name
+                # the tanh layers did move
+                for moved, was in zip(adapted.layers[:-1], source.layers[:-1], strict=True):
+                    assert not np.array_equal(moved.weight, was.weight), name
 
     def test_input_model_not_mutated(self):
         model, tgt = self._source_and_target(2)

@@ -17,6 +17,7 @@ from shiftlab.nn import (
     load_model,
     save_model,
     sgd_step,
+    stack_models,
     zeros_gradient,
 )
 
@@ -120,6 +121,27 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward(m, np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 64, 400])
+    def test_pass_into_an_earlier_tape_equals_a_fresh_pass(self, members, rows):
+        rng = np.random.default_rng(10 * rows + members)
+        net, _ = stack_models([init_model(2, seed=k) for k in range(members)])
+        tape = forward(net, rng.normal(size=(rows, 2)))
+        arrays = [tape.features, tape.probs, *tape.acts[1:]]
+        for w, b in net.layers:  # moved, as by the training steps between two passes
+            w += rng.normal(scale=0.1, size=w.shape)
+            b += rng.normal(scale=0.1, size=b.shape)
+        X = rng.normal(size=(rows, 2))
+        fresh, reused = forward(net, X), forward(net, X, tape)
+        assert reused.acts[0] is X and len(reused.acts) == len(fresh.acts)
+        for got, want in zip([reused.features, reused.probs, *reused.acts[1:]],
+                             [fresh.features, fresh.probs, *fresh.acts[1:]], strict=True):
+            assert np.array_equal(got, want)
+        # written into the earlier tape's own arrays
+        for got, mine in zip([reused.features, reused.probs, *reused.acts[1:]], arrays, strict=True):
+            assert got is mine
+        assert reused.features is reused.acts[-1]
+
 
 class TestBackward:
     def test_matches_finite_differences_on_ce_style_loss(self):
@@ -175,6 +197,18 @@ class TestBackward:
         for got, w in zip(g1, want, strict=True):
             assert np.array_equal(got.weight, w.weight) and np.array_equal(got.bias, w.bias)
 
+    def test_without_the_classifier_the_other_layers_are_unchanged(self):
+        rng = np.random.default_rng(5)
+        m = init_model(2, 4, 2, depth=2, seed=5)
+        tape = forward(m, rng.normal(size=(5, 2)))
+        U, V = rng.normal(size=(5, 2)), rng.normal(size=(5, 4))
+        for upstream in ((U, None), (None, V), (U, V)):
+            full, frozen = backward(m, tape, *upstream), backward(m, tape, *upstream, classifier=False)
+            assert frozen[-1] is None
+            for a, b in zip(full[:-1], frozen[:-1], strict=True):
+                assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+            assert add_gradient(frozen, backward(m, tape, U, classifier=False))[-1] is None
+
 
 class TestSgd:
     def test_plain_step(self):
@@ -204,6 +238,22 @@ class TestSgd:
         sgd_step(m, g2, state)
         # v1 = g, v2 = 0.9 g + g -> total displacement g (1 + 1.9)
         assert np.allclose(before - m.layers[0].weight, 2.9, atol=1e-12)
+
+    def test_a_layer_without_gradient_is_untouched(self):
+        m = init_model(2, 4, 2, depth=2, seed=1)
+        state = init_optimizer(m, 0.1, 0.9)
+        g = zeros_gradient(m)
+        for gw, gb in g:
+            gw[...] = 1.0
+            gb[...] = 1.0
+        head, velocity = [a.copy() for a in m.layers[-1]], [a.copy() for a in state.velocity[-1]]
+        g[-1] = None
+        for _ in range(2):
+            sgd_step(m, g, state)
+        assert np.allclose(m.layers[0].weight - init_model(2, 4, 2, depth=2, seed=1).layers[0].weight,
+                           -0.1 * 2.9, atol=1e-12)
+        for a, b in zip([*m.layers[-1], *state.velocity[-1]], head + velocity, strict=True):
+            assert np.array_equal(a, b)
 
     def test_nonfinite_gradient_aborts(self):
         m = init_model(2, 4, 2, seed=1)
