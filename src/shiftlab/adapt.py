@@ -10,7 +10,9 @@ log `mmd_full`, the full-dataset MMD diagnostic, which feeds no gradient.
 
 from __future__ import annotations
 
+import ctypes
 import os
+import signal
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -131,29 +133,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _child_start(parent):
+    """A forked child's start (a `bench` pool worker, UDA's helper): SIGINT is the
+    parent's (a worker takes it inside a job, `bench._worker_call`); where Linux's
+    prctl is found it dies with the parent, whose pipe or queue it would wait on."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent died before the line above
+            os._exit(1)
+
+
 def _full_mmd(model, source, target) -> float:
     """The full-dataset MMD between the source and target features of `model`."""
     return mmd_full(forward(model, source.features).features, forward(model, target.features).features)
 
 
-def _diagnose(source, target, snapshots, results, inherited) -> None:
-    """Helper process: `_full_mmd` of each `(iteration, model)` snapshot until None,
-    then send `{iteration: mmd}`, or the first exception, on `results`.
-
-    It first closes the trainer's pipe ends it inherited (`inherited`), so a
-    trainer that dies leaves it EOF and it exits; SIGINT is the trainer's to handle.
-    """
-    import signal  # loaded already, by multiprocessing
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for conn in inherited:
-        conn.close()
+def _diagnose(parent, source, target, snapshots, results) -> None:
+    """Helper process of trainer `parent` (started by `_child_start`): `_full_mmd`
+    of each `(iteration, model)` snapshot until None, then send `{iteration: mmd}`,
+    or the first exception, on `results`."""
+    _child_start(parent)
     values = {}
     try:
         while (item := snapshots.recv()) is not None:
             values[item[0]] = _full_mmd(item[1], source, target)
-    except EOFError:
-        return  # the trainer is gone
     except Exception as exc:  # re-raised by the trainer
         values = exc
     results.send(values)
@@ -181,7 +186,7 @@ def _diagnostics(source, target, values):
     ctx = multiprocessing.get_context("fork")
     snapshots, to_helper = ctx.Pipe(duplex=False)
     from_helper, results = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_diagnose, args=(source, target, snapshots, results, (to_helper, from_helper)))
+    helper = ctx.Process(target=_diagnose, args=(os.getpid(), source, target, snapshots, results))
     helper.start()
     snapshots.close()
     results.close()
@@ -209,7 +214,7 @@ def _diagnostics(source, target, values):
         helper.kill()
         raise
     finally:
-        to_helper.close()  # the helper, if still reading, sees EOF
+        to_helper.close()
         from_helper.close()
         helper.join()
 
@@ -445,4 +450,7 @@ def train_expanded_base(
             raise ParameterError(f"visible source {vs.domain_id!r} must be labeled")
         if vs.d != target.d:
             raise ParameterError("visible source and target dimensions differ")
+        if any(m.num_classes != vs.num_classes for m in models):
+            raise ParameterError(f"visible source {vs.domain_id!r} has {vs.num_classes} classes, "
+                                 f"the models {models[0].num_classes}")
     return _adapt_loop(models, weights, target, cfg, eval_set, visible_sources, mode)

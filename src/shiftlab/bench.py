@@ -8,7 +8,6 @@ Iteration counts are mini-batch steps.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import os
 import re
@@ -22,6 +21,7 @@ import numpy as np
 from .adapt import (
     AdaptationConfig,
     TrainerOutput,
+    _child_start,
     _ensemble_accuracy,
     _usable_cpus,
     train_expanded_base,
@@ -181,18 +181,6 @@ def _call(name, *args):
     return globals()[name](*args)
 
 
-def _worker_start(caller):
-    """A pool worker's start: it leaves SIGINT to its caller between jobs
-    (`_worker_call`), and where Linux's prctl is found it dies with the caller,
-    whose call queue it would otherwise wait on forever."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-        if os.getppid() != caller:  # the caller died before the line above
-            os._exit(1)
-
-
 def _worker_call(*job):
     """`_call` in a pool worker, where SIGINT raises KeyboardInterrupt inside a job only."""
     signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -233,7 +221,7 @@ def _pool(n_jobs):
         return result
 
     with ProcessPoolExecutor(min(n_jobs, cpus), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_worker_start, initargs=(os.getpid(),)) as pool:
+                             initializer=_child_start, initargs=(os.getpid(),)) as pool:
         try:
             yield submit
         except BaseException:

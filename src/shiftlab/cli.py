@@ -158,7 +158,7 @@ def _load_weights_arg(args, models):
     ids = _model_ids(models)
     if args.weights == "mea":
         return _parse_visible(args)
-    est, file_ids = mea.parse_weights(Path(args.weights).read_text())
+    est, file_ids = mea.parse_weights(Path(args.weights).read_text(encoding="ascii"))
     if sorted(file_ids) != sorted(ids):
         raise ParameterError(f"weights file is for models {file_ids}, --model gives {ids}")
     by_id = dict(zip(file_ids, est.w_final))
@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
         model = load_model(args.path)
         print(f"ok model arch={model.meta.get('architecture', '?')}")
     else:
-        est, _ = mea.parse_weights(Path(args.path).read_text())
+        est, _ = mea.parse_weights(Path(args.path).read_text(encoding="ascii"))
         print(f"ok weights m={len(est.w_final)} fallback={est.fallback}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 import inspect
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import tracemalloc
@@ -445,6 +446,36 @@ class TestUdaDiagnosticThread:
         assert _exited(helper)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_a_busy_helper_ends_with_a_killed_trainer(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids.log"
+
+        def sleeping(*args):
+            log_line(pids, os.getpid())
+            time.sleep(60)
+
+        monkeypatch.setattr(adapt, "_full_mmd", sleeping)
+        _usable_cpus(monkeypatch, 2)
+        src, tgt, _ = uda_domains()
+        trainer = multiprocessing.get_context("fork").Process(
+            target=train_uda, args=(src, tgt, AdaptationConfig(iterations=31)))
+        trainer.start()
+        deadline = time.monotonic() + 30
+        while not read_lines(pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        helpers = read_lines(pids)
+        try:
+            os.kill(trainer.pid, signal.SIGKILL)
+            trainer.join(timeout=30)
+            assert trainer.exitcode == -signal.SIGKILL
+            assert len(helpers) == 1 and trainer.pid not in helpers
+            assert _exited(helpers[0], timeout=10.0)
+        finally:
+            for pid in helpers:
+                if not _exited(pid, timeout=0.1):
+                    os.kill(pid, signal.SIGKILL)
+        assert multiprocessing.active_children() == []
+
 
 class TestMmdFullColumn:
     """`loss_mmd` is the batch estimate on every row; UDA's full-dataset MMD
@@ -691,6 +722,13 @@ class TestExpandedBase:
         tgt = moons(domain_id="t")
         with pytest.raises(ParameterError):
             train_expanded_base([model], [1.0], tgt.unlabeled(), [tgt], "ce+dann",
+                                AdaptationConfig(iterations=1))
+
+    def test_rejects_a_source_of_another_class_count(self):
+        model = init_model(2, 8, 2, seed=0)
+        vis = gen_gaussian_blobs(60, 3, 2, 6.0, [0.3, 0.3, 0.4], domain_id="vis")
+        with pytest.raises(ParameterError, match="^visible source 'vis' has 3 classes, the models 2$"):
+            train_expanded_base([model], [1.0], moons(domain_id="t").unlabeled(), [vis], "ce-only",
                                 AdaptationConfig(iterations=1))
 
     def test_requires_some_visible_source(self):

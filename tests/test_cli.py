@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from shiftlab import adapt, bench, cli
 from shiftlab.adapt import AdaptationConfig
-from shiftlab.datagen import Dataset, gen_two_moons, load_dataset, save_dataset
+from shiftlab.datagen import Dataset, gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
 from shiftlab.errors import NumericError, ShiftLabError
 from shiftlab.mea import combine_weights, format_weights, parse_weights
 from shiftlab.nn import Layer, SourceModel, init_model, load_model, save_model
@@ -301,6 +301,7 @@ class TestExitCodes:
         "uda-two-sources", "sfda-unread-flags", "msfda-unread-mode", "msfda-visible-without-mea",
         "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
         "mea-visible-twice", "visible-empty-id", "path-under-a-file", "path-too-long",
+        "non-ascii-weights", "msfda-non-ascii-weights", "expanded-source-classes",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -312,6 +313,8 @@ class TestExitCodes:
         }.get(probe, "learning_rate = fast\n"))
         non_ascii = tmp_path / "data.csv"
         non_ascii.write_bytes(b"\xc3\xa9\n")
+        em_space = tmp_path / "em.weights"  # U+2003 between the two w_final numbers
+        em_space.write_bytes("\u2003".join(weights_text(["a", "b"]).rsplit(" ", 1)).encode())
         dataset = "#shiftlab-dataset v1 n={} d={} K=2 domain=x\n{}\n"
         model = "#shiftlab-model v1\ndomain_id=x\nlayer {}\n{}\n0\nlayer 2 1 linear\n1\n-1\n0\n0\n"
         bad = tmp_path / "bad.txt"
@@ -345,6 +348,8 @@ class TestExitCodes:
         save_dataset(load_dataset(moons_file).unlabeled(), unlabeled)
         target, source = ("--target", str(moons_file)), ("--source-data", str(moons_file))
         twice = ("--visible", f"a={moons_file}", "--visible", f"a={moons_file}")
+        blobs = tmp_path / "blobs.csv"
+        save_dataset(gen_gaussian_blobs(120, 3, 2, 6.0, [0.3, 0.3, 0.4]), blobs)
         argv, needle = {  # needle: what the one-line error must name
             "config-int": ((*train, "--config", str(cfg)), "'iterations': 'abc'"),
             "config-float": ((*train, "--config", str(cfg)), "'learning_rate': 'fast'"),
@@ -358,6 +363,13 @@ class TestExitCodes:
                               "File name too long"),
             "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
             "non-ascii-dataset": (("verify", "dataset", str(non_ascii)), "ascii"),
+            "non-ascii-weights": (("verify", "weights", str(em_space)), "ascii"),
+            "msfda-non-ascii-weights": ((*adapt, "--weights", str(em_space), "--model",
+                                         str(model_a), "--model", str(model_b)), "ascii"),
+            "expanded-source-classes": (("adapt", "--paradigm", "expanded", *target,
+                                         "--source-data", str(blobs), "--model", str(model_a),
+                                         "--iterations", "1"),
+                                        "'blobs' has 3 classes, the models 2"),
             "dataset-label": (("verify", "dataset", str(bad)), "'x'"),
             "dataset-feature": (("verify", "dataset", str(bad)), "'abc'"),
             "dataset-n": (("verify", "dataset", str(bad)), "n=0"),
