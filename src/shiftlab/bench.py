@@ -99,14 +99,15 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
 
     Every job goes to one pool of forked worker processes, one per usable CPU
     (inline on one, in seed order), as `overfitting_suite`'s seeds go to
-    theirs. Each seed's source models train once, one job per source; each
-    (seed, spec) run starts when its seed's models are back (uda, which trains
-    its own, at once), builds its own target and adapts clones of them. As a
-    job reads only its inputs, the records do not depend on the worker count.
-    Returns one list of records per spec, one per seed in seed order, each
-    named `<scenario>-<paradigm>-s<seed>`. The error raised is the first
-    failing run's in (seed, spec) order; a failed source training fails the
-    first run that uses its models.
+    theirs. A job gets a builder per source domain, not its data, and builds
+    the datasets it reads. Each seed's source models train once, one job per
+    source; each (seed, spec) run starts when its seed's models are back (uda,
+    which trains its own, at once), builds its own target and adapts clones of
+    them. As a job reads only its inputs, the records do not depend on the
+    worker count. Returns one list of records per spec, one per seed in seed
+    order, each named `<scenario>-<paradigm>-s<seed>`. The error raised is the
+    first failing run's in (seed, spec) order; a failed source training (or
+    build) fails the first run that uses its models.
     """
     _check_seeds(seeds)
     need_models = any(spec.paradigm != "uda" for spec in specs)
@@ -114,15 +115,16 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
         jobs = []  # per (seed, spec): its context, and its started run or its inputs
         for seed in seeds:
             source_seeds, target_seed = _data_seeds(seed, len(sources))
-            datasets = {d: r.build(s, d) for (d, r), s in zip(sources.items(), source_seeds)}
-            models = [submit("train_source", ds, replace(SOURCE_CONFIG, seed=seed * 100 + j))
-                      for j, ds in enumerate(datasets.values()) if need_models]
+            builds = {d: functools.partial(r.build, s, d)
+                      for (d, r), s in zip(sources.items(), source_seeds)}
+            models = [submit("_train_source", build, replace(SOURCE_CONFIG, seed=seed * 100 + j))
+                      for j, build in enumerate(builds.values()) if need_models]
             for spec in specs:
                 context = f"scenario {spec.name!r} (paradigm {spec.paradigm}, seed {seed})"
                 if spec.paradigm == "uda":  # trains its own model, so it starts at once
-                    jobs.append((context, submit("_run_spec", spec, seed, datasets, [], target_seed)))
+                    jobs.append((context, submit("_run_spec", spec, seed, builds, [], target_seed)))
                 else:
-                    jobs.append((context, [spec, seed, datasets, models, target_seed]))
+                    jobs.append((context, [spec, seed, builds, models, target_seed]))
         runs = []
         for context, job in jobs:
             try:
@@ -147,16 +149,22 @@ def _wait(context, result):
         raise
 
 
-def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
-    """One run of `spec` at `seed` on that seed's source datasets and models.
-    uda, msfda-mea and expanded-base read the datasets of `spec.visible`; the
-    other paradigms read none."""
+def _train_source(build, cfg):
+    """A source training job: builds its one dataset and trains on it."""
+    return train_source(build(), cfg)
+
+
+def _run_spec(spec, seed, builds, models, target_seed) -> ExperimentRecord:
+    """One run of `spec` at `seed` on that seed's source models and dataset
+    builders (domain_id -> builder). uda builds the first dataset of
+    `spec.visible`, msfda-mea and expanded-base build all of them; the other
+    paradigms build none."""
     target_eval = spec.target.build(target_seed, "target")
     target = target_eval.unlabeled()
     cfg = replace(spec.config, seed=seed)
-    visible = {d: datasets[d] for d in spec.visible or datasets}
+    visible = list(spec.visible or builds)
     if spec.paradigm == "uda":  # trains its own model from the first visible source's data
-        out = train_uda(next(iter(visible.values())), target, cfg, eval_set=target_eval)
+        out = train_uda(builds[visible[0]](), target, cfg, eval_set=target_eval)
     elif spec.paradigm == "source-only":  # adapts nothing: the uniform ensemble
         weights = np.full(len(models), 1.0 / len(models))
         acc = _ensemble_accuracy(stack_models(models)[0], weights, target_eval)
@@ -167,11 +175,11 @@ def _run_spec(spec, seed, datasets, models, target_seed) -> ExperimentRecord:
     elif spec.paradigm == "msfda-uniform":
         out = train_msfda(models, None, target, cfg, eval_set=target_eval)
     elif spec.paradigm == "msfda-mea":
-        out = train_msfda(models, visible, target, cfg, eval_set=target_eval)
+        datasets = {d: builds[d]() for d in visible}
+        out = train_msfda(models, datasets, target, cfg, eval_set=target_eval)
     elif spec.paradigm == "expanded-base":
-        out = train_expanded_base(
-            models, None, target, list(visible.values()), "ce-only", cfg, eval_set=target_eval
-        )
+        datasets = [builds[d]() for d in visible]
+        out = train_expanded_base(models, None, target, datasets, "ce-only", cfg, eval_set=target_eval)
     run_id = f"{spec.name}-{spec.paradigm}-s{seed}"
     return ExperimentRecord(run_id, spec.paradigm, spec.name, out.rows, out.weights)
 
@@ -216,7 +224,7 @@ def _pool(n_jobs):
             try:
                 return future.result()
             except BrokenProcessPool:
-                what = "source training" if job[0] == "train_source" else "run"
+                what = "source training" if job[0] == "_train_source" else "run"
                 raise WorkerError(f"a worker process ended abruptly before its {what} finished") from None
         return result
 

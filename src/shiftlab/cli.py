@@ -30,7 +30,7 @@ from .adapt import (
     train_source,
     train_uda,
 )
-from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, save_dataset
+from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, read_ascii, save_dataset
 from .errors import NumericError, ParameterError, ShiftLabError, WorkerError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
 from .records import final_accuracy, write_trajectory
@@ -158,7 +158,7 @@ def _load_weights_arg(args, models):
     ids = _model_ids(models)
     if args.weights == "mea":
         return _parse_visible(args)
-    est, file_ids = mea.parse_weights(Path(args.weights).read_text(encoding="ascii"))
+    est, file_ids = mea.parse_weights(read_ascii(args.weights))
     if sorted(file_ids) != sorted(ids):
         raise ParameterError(f"weights file is for models {file_ids}, --model gives {ids}")
     by_id = dict(zip(file_ids, est.w_final))
@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
         model = load_model(args.path)
         print(f"ok model arch={model.meta.get('architecture', '?')}")
     else:
-        est, _ = mea.parse_weights(Path(args.path).read_text(encoding="ascii"))
+        est, _ = mea.parse_weights(read_ascii(args.path))
         print(f"ok weights m={len(est.w_final)} fallback={est.fallback}")
     return EXIT_OK
 
@@ -303,10 +303,13 @@ def _defaults() -> dict:
 
 
 def cmd_defaults(_args) -> int:
+    """Print the defaults as a valid --config file: the sections it cannot set are comments."""
     blocks = []
     for section, entries in _defaults().items():
         lines = [f"[{section}]"]
         lines += [f"{k} = {v}" + (f"  # {note}" if note else "") for k, v, note in entries]
+        if section not in CONFIG_SECTIONS:
+            lines = [f"# {line}" for line in lines]
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
     return EXIT_OK

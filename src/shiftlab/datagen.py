@@ -252,6 +252,16 @@ def save_dataset(ds: Dataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def read_ascii(path) -> str:
+    """The text of an ASCII file format; a byte above 0x7f is a FormatError naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not an ascii file: byte {exc.start} is "
+                          f"0x{data[exc.start]:02x}") from None
+
+
 def parse_fields(line: str, where: str) -> dict:
     """The `key=value` tokens of a header line; a bare token or repeated key is a FormatError."""
     fields = {}
@@ -267,8 +277,7 @@ def parse_fields(line: str, where: str) -> dict:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset`; bad content raises FormatError."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines or not lines[0].startswith(DATASET_MAGIC):
         raise FormatError(f"{path}: missing dataset header")
     header = parse_fields(lines[0][len(DATASET_MAGIC) :], f"{path}: header")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import check_domain_id, parse_fields
+from .datagen import check_domain_id, parse_fields, read_ascii
 from .errors import FormatError, NumericError, ParameterError
 
 MODEL_MAGIC = "#shiftlab-model v1"
@@ -260,7 +260,7 @@ def save_model(model: SourceModel, path) -> None:
 
 
 def load_model(path) -> SourceModel:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines = read_ascii(path).splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise FormatError(f"{path}: not a shiftlab model file (version mismatch?)")
     if len(lines) < 2:

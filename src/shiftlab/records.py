@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)  # no per-row __dict__: a run logs a row per step
 class TrajectoryRow:
     """One trainer step; its fields, in order, are the trajectory CSV's columns.
 

@@ -458,6 +458,80 @@ class TestWorkers:
             [_deterministic_part(r) for r in runs] for runs in inline
         ]
 
+    def test_each_job_builds_the_source_data_it_reads(self, monkeypatch, tmp_path):
+        log = tmp_path / "builds.log"
+        run = {"paradigm": None}  # in the process running a spec: its paradigm
+        original, run_spec = MoonsRecipe.build, bench._run_spec
+
+        def tagging(spec, *args):
+            run["paradigm"] = spec.paradigm
+            try:
+                return run_spec(spec, *args)
+            finally:
+                run["paradigm"] = None
+
+        def build(recipe, seed, domain_id):  # a bound method pickles by its function's name
+            if domain_id != "target":
+                log_line(log, (os.getpid(), run["paradigm"], domain_id))
+            return original(recipe, seed, domain_id)
+
+        monkeypatch.setattr(bench, "_run_spec", tagging)
+        monkeypatch.setattr(MoonsRecipe, "build", build)
+        target = MoonsRecipe(n=60, rotation=20.0)
+        specs = [
+            ScenarioSpec("tiny", paradigm, target, TINY,
+                         visible=["b"] if paradigm == "expanded-base" else None)
+            for paradigm in bench.PARADIGMS
+        ]
+        # per seed, None being a source training: source-only, sfda and msfda-uniform build none
+        builds = [(None, "a"), (None, "b"), ("uda", "a"), ("msfda-mea", "a"),
+                  ("msfda-mea", "b"), ("expanded-base", "b")] * 2
+        for cpus in (2, 1):
+            log.unlink(missing_ok=True)
+            _usable_cpus(monkeypatch, cpus)
+            run_scenario(SOURCES, specs, [0, 1])
+            pids, *logged = zip(*read_lines(log))
+            assert sorted(zip(*logged), key=repr) == sorted(builds, key=repr)
+            if cpus == 1:
+                assert set(pids) == {os.getpid()}
+            else:
+                assert os.getpid() not in pids
+
+    def test_a_forking_caller_loads_no_random_generator(self):
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from shiftlab.adapt import AdaptationConfig\n"
+            "from shiftlab.bench import MoonsRecipe, ScenarioSpec, run_scenario\n"
+            "cfg = AdaptationConfig(iterations=5, learning_rate=0.01)\n"
+            "specs = [ScenarioSpec('tiny', p, MoonsRecipe(n=60, rotation=20.0), cfg)\n"
+            "         for p in ('uda', 'msfda-mea')]\n"
+            "run_scenario({'a': MoonsRecipe(n=60)}, specs, [0, 1])\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(shiftlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_source_that_cannot_build_fails_the_first_run_reading_it(self, monkeypatch,
+                                                                        cpus):
+        _usable_cpus(monkeypatch, cpus)
+        sources = {"a": MoonsRecipe(n=60), "bad": MoonsRecipe(n=1)}
+        target = MoonsRecipe(n=60, rotation=20.0)
+        # uda reads only its first source, so the sfda run is the first to read "bad"
+        specs = [ScenarioSpec("tiny", paradigm, target, TINY) for paradigm in ("uda", "sfda")]
+        message = r"^scenario 'tiny' \(paradigm sfda, seed 3\): need n >= 2, got 1$"
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(sources, specs, [3, 4])
+        spec = ScenarioSpec("tiny", "uda", target, TINY, visible=("bad",))
+        message = r"^scenario 'tiny' \(paradigm uda, seed 3\): need n >= 2, got 1$"
+        with pytest.raises(ParameterError, match=message):
+            run_scenario(sources, [spec], [3, 4])
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_outlives_a_return_or_an_error(self, monkeypatch):
         _usable_cpus(monkeypatch, 2)
         threads = set(threading.enumerate())

@@ -302,6 +302,7 @@ class TestExitCodes:
         "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
         "mea-visible-twice", "visible-empty-id", "path-under-a-file", "path-too-long",
         "non-ascii-weights", "msfda-non-ascii-weights", "expanded-source-classes",
+        "non-ascii-model", "sfda-non-ascii-model",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -314,7 +315,9 @@ class TestExitCodes:
         non_ascii = tmp_path / "data.csv"
         non_ascii.write_bytes(b"\xc3\xa9\n")
         em_space = tmp_path / "em.weights"  # U+2003 between the two w_final numbers
-        em_space.write_bytes("\u2003".join(weights_text(["a", "b"]).rsplit(" ", 1)).encode())
+        head, tail = weights_text(["a", "b"]).rsplit(" ", 1)
+        em_space.write_bytes(f"{head}\u2003{tail}".encode())
+        em_ascii = f"{em_space}: not an ascii file: byte {len(head)} is 0xe2"
         dataset = "#shiftlab-dataset v1 n={} d={} K=2 domain=x\n{}\n"
         model = "#shiftlab-model v1\ndomain_id=x\nlayer {}\n{}\n0\nlayer 2 1 linear\n1\n-1\n0\n0\n"
         bad = tmp_path / "bad.txt"
@@ -338,6 +341,9 @@ class TestExitCodes:
         }.get(probe, ""))
         train = ("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m"))
         model_a, model_b = id_models(tmp_path)
+        em_model = tmp_path / "em.model"  # U+2003 for the metadata line's first space
+        em_model.write_bytes(model_a.read_bytes().replace(b" ", "\u2003".encode(), 1))
+        model_ascii = f"{em_model}: not an ascii file: byte {model_a.read_bytes().index(b' ')} is 0xe2"
         weights = tmp_path / "w.weights"
         ids = {"weights-missing-id": "a,c", "weights-extra-id": "a,b,c",
                "weights-duplicate-id": "a,a"}.get(probe, "a,b").split(",")
@@ -362,10 +368,14 @@ class TestExitCodes:
             "path-too-long": (("verify", "dataset", str(tmp_path / ("x" * 300))),
                               "File name too long"),
             "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
-            "non-ascii-dataset": (("verify", "dataset", str(non_ascii)), "ascii"),
-            "non-ascii-weights": (("verify", "weights", str(em_space)), "ascii"),
+            "non-ascii-dataset": (("verify", "dataset", str(non_ascii)),
+                                  f"{non_ascii}: not an ascii file: byte 0 is 0xc3"),
+            "non-ascii-weights": (("verify", "weights", str(em_space)), em_ascii),
+            "non-ascii-model": (("verify", "model", str(em_model)), model_ascii),
+            "sfda-non-ascii-model": (("adapt", "--paradigm", "sfda", *target, "--model",
+                                      str(em_model)), model_ascii),
             "msfda-non-ascii-weights": ((*adapt, "--weights", str(em_space), "--model",
-                                         str(model_a), "--model", str(model_b)), "ascii"),
+                                         str(model_a), "--model", str(model_b)), em_ascii),
             "expanded-source-classes": (("adapt", "--paradigm", "expanded", *target,
                                          "--source-data", str(blobs), "--model", str(model_a),
                                          "--iterations", "1"),
@@ -554,6 +564,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "[adapt]" in out and "learning_rate = 0.05" in out
         assert "eval_interval = 10" in out
+
+    def test_defaults_output_is_a_config_file(self, tmp_path, capsys, moons_file, target_file):
+        capsys.readouterr()  # the fixtures' lines
+        assert run("defaults") == 0
+        config = tmp_path / "d.ini"
+        config.write_text(capsys.readouterr().out)
+        plain, configured = tmp_path / "plain.model", tmp_path / "configured.model"
+        train = ("train-source", "--data", str(moons_file), "--iterations", "5")
+        assert run(*train, "--out", str(plain)) == 0
+        assert run(*train, "--config", str(config), "--out", str(configured)) == 0
+        assert digest(configured) == digest(plain)
+        adapt = ("adapt", "--paradigm", "sfda", "--target", str(target_file), "--model",
+                 str(plain), "--iterations", "5")
+        assert run(*adapt, "--out", str(tmp_path / "a.model")) == 0
+        assert run(*adapt, "--config", str(config), "--out", str(tmp_path / "b.model")) == 0
+        assert digest(tmp_path / "b.model") == digest(tmp_path / "a.model")
 
 
 @pytest.fixture(scope="module")
