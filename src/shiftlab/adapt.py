@@ -4,8 +4,13 @@ Source-freedom is enforced by signature: the SFDA/MSFDA trainers take no
 source dataset argument at all. Evaluation labels are supplied by the
 harness through `eval_set` and are used only for accuracy logging, never
 for gradients. A float overflow, invalid value or division by zero raises.
-Each trajectory row logs its step's batch losses; UDA's evaluating rows also
-log `mmd_full`, the full-dataset MMD diagnostic, which feeds no gradient.
+Each trainer step draws its batches, calls one pure objective on them
+(`_supervised_objective` or `_adapt_objective`, which return the row's loss
+fields and the gradient of its `loss_total`) and takes one `sgd_step`;
+tests/test_objective_grad.py checks each objective's gradient against finite
+differences. Each trajectory row logs its step's batch losses; UDA's
+evaluating rows also log `mmd_full`, the full-dataset MMD diagnostic, which
+feeds no gradient.
 """
 
 from __future__ import annotations
@@ -110,8 +115,8 @@ def _drive(net, weights, cfg, eval_set, step, workspace: dict) -> list:
     `step(i, evaluating)` updates the stack `net` and returns the row's loss
     fields; `evaluating` marks the steps whose row also gets the accuracy on
     `eval_set` of net's members mixed by `weights`, a pass into the run's
-    `workspace`. The batch tapes are locals of the step, so they are freed
-    before that full-dataset pass.
+    `workspace`. The batch tapes are locals of the step's objective, so they
+    are freed before that full-dataset pass.
     """
     if eval_set is not None and eval_set.labels is None:
         raise ParameterError(f"eval set {eval_set.domain_id!r} has no labels to score accuracy on")
@@ -219,6 +224,25 @@ def _diagnostics(source, target, values):
         helper.join()
 
 
+def _supervised_objective(model, xs, ys, xt, lam) -> tuple[dict, list]:
+    """One supervised step's loss fields and gradient, pure: the cross-entropy of
+    `model` on the source batch `(xs, ys)`, plus `lam` times the batch MMD
+    between the source and target features when there is a target batch `xt`.
+
+    `model` is left untouched, and the MMD's median-heuristic bandwidths are
+    held constant in the gradient (`mmd_rbf_grad`).
+    """
+    tape_s = forward(model, xs)
+    ce, dce = _cross_entropy(tape_s.probs, ys)
+    if xt is None:
+        return {"loss_total": ce, "loss_ce": ce}, backward(model, tape_s, dce)
+    tape_t = forward(model, xt)
+    mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
+    grad = backward(model, tape_s, dce, lam * gx)
+    add_gradient(grad, backward(model, tape_t, dfeat=lam * gy))
+    return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}, grad
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")  # as in cli.main
 def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
     """Source cross-entropy from a fresh seeded model, plus `lambda_uda` times
@@ -242,19 +266,12 @@ def _train_supervised(source, target, cfg, eval_set) -> TrainerOutput:
 
     def step(it, evaluating):
         idx = next(src_stream)
-        xb, yb = source.features[idx], source.labels[idx]
-        tape_s = forward(model, xb)
-        ce, dce = _cross_entropy(tape_s.probs, yb)
-        if lam == 0:
-            sgd_step(model, backward(model, tape_s, dce), opt)
-            return {"loss_total": ce, "loss_ce": ce}
-        tape_t = forward(model, target.features[next(tgt_stream)])
-        mmd_value, gx, gy = mmd_rbf_grad(tape_s.features, tape_t.features)
-        grad = backward(model, tape_s, dce, lam * gx)
-        sgd_step(model, add_gradient(grad, backward(model, tape_t, dfeat=lam * gy)), opt)
-        if evaluating:
+        xt = None if tgt_stream is None else target.features[next(tgt_stream)]
+        fields, grad = _supervised_objective(model, source.features[idx], source.labels[idx], xt, lam)
+        sgd_step(model, grad, opt)
+        if evaluating and xt is not None:
             diagnose(it, model)
-        return {"loss_total": ce + lam * mmd_value, "loss_ce": ce, "loss_mmd": mmd_value}
+        return fields
 
     model.meta["epochs"] = str(cfg.iterations)
     weights = np.array([1.0])
@@ -313,6 +330,64 @@ def _ensemble_pseudo_labels(net: SourceModel, weights, X, workspace: dict | None
     return assign()
 
 
+def _adapt_objective(net, wa, cfg, xb, pseudo, visible, mode) -> tuple[dict, list]:
+    """One adaptation step's loss fields and gradient, pure, for the stack `net`
+    whose members are mixed by the weights `wa`.
+
+    On the target batch `xb`: the IM loss of the mixture, plus `cfg.beta_pseudo`
+    times its cross-entropy against `pseudo`, the batch's pseudo-labels (None at
+    `beta_pseudo == 0`). For each `(features, labels)` batch in `visible`, a
+    visible source's: the mixture's cross-entropy and, in mode "ce+mmd",
+    `cfg.lambda_uda` times the member-weighted MMD between its features and the
+    target's, each term scaled by 1 / len(visible). The classifier, the last
+    layer, gets no gradient (None) and stays the source hypothesis. `net` is
+    left untouched, and the MMD's bandwidths are held constant in the gradient.
+    """
+    per_member = wa[:, None, None]  # each member's weight, broadcast over its batch
+    lam = cfg.lambda_uda
+    tape = forward(net, xb)
+    ens = mix_probs(wa, tape.probs)
+
+    (ent, d_ent), (div, d_div) = _entropy(ens), _diversity(ens)
+    im, dprobs = ent + div, d_ent + d_div
+    ce_value = 0.0
+    if cfg.beta_pseudo > 0:
+        ce_value, dce = _cross_entropy(ens, pseudo)
+        dprobs = dprobs + cfg.beta_pseudo * dce
+
+    vis_ce_value = 0.0
+    mmd_value = 0.0
+    vis_grads = []  # in the order they are added
+    dfeat = None  # summed MMD gradient on the target tape's features
+    if visible:
+        scale = 1.0 / len(visible)
+        for xs, ys in visible:
+            tape_s = forward(net, xs)
+            ens_s = mix_probs(wa, tape_s.probs)
+            ce_s, dce_s = _cross_entropy(ens_s, ys)
+            vis_ce_value += scale * ce_s
+            gs = None
+            if mode == "ce+mmd" and lam > 0:
+                gs, gt = np.empty_like(tape_s.features), np.empty_like(tape.features)
+                for k, c in enumerate(lam * scale * wa):
+                    mv, gx, gy = mmd_rbf_grad(tape_s.features[k], tape.features[k])
+                    mmd_value += scale * wa[k] * mv
+                    gs[k], gt[k] = c * gx, c * gy
+                dfeat = gt if dfeat is None else dfeat + gt
+            vis_grads.append(backward(net, tape_s, per_member * (scale * dce_s), gs, classifier=False))
+
+    # one backward through the target tape, carrying its IM/CE probs and MMD features
+    grad = backward(net, tape, per_member * dprobs, dfeat, classifier=False)
+    for g in vis_grads:
+        add_gradient(grad, g)
+    return {
+        "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
+        "loss_ce": ce_value + vis_ce_value,
+        "loss_mmd": mmd_value,
+        "loss_im": im,
+    }, grad
+
+
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _adapt_loop(
     models,
@@ -337,11 +412,10 @@ def _adapt_loop(
     net, members = stack_models([m for m, a in zip(models, active) if a])
     members, wa = iter(members), weights[active]  # wa: the weights of net's members
     models = [next(members) if a else m.clone() for m, a in zip(models, active)]
-    per_member = wa[:, None, None]  # each member's weight, broadcast over its batch
     opt = init_optimizer(net, cfg.learning_rate, cfg.momentum)
     stream = _stream(target.n, cfg, 17)
-    vs_streams = [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources or [])]
-    lam = cfg.lambda_uda
+    visible_sources = visible_sources or []
+    vs_streams = [_stream(vs.n, cfg, 41 + j) for j, vs in enumerate(visible_sources)]
     pl = None
     workspace = {}  # the full-dataset passes' tapes, freed with this run
 
@@ -350,52 +424,12 @@ def _adapt_loop(
         if cfg.beta_pseudo > 0 and it % cfg.pseudo_refresh == 0:
             pl = _ensemble_pseudo_labels(net, wa, target.features, workspace)
         idx = next(stream)
-        tape = forward(net, target.features[idx])
-        ens = mix_probs(wa, tape.probs)
-
-        (ent, d_ent), (div, d_div) = _entropy(ens), _diversity(ens)
-        im, dprobs = ent + div, d_ent + d_div
-        ce_value = 0.0
-        if cfg.beta_pseudo > 0:
-            ce_value, dce = _cross_entropy(ens, pl[idx])
-            dprobs = dprobs + cfg.beta_pseudo * dce
-
-        vis_ce_value = 0.0
-        mmd_value = 0.0
-        vis_grads = []  # in the order they are added
-        dfeat = None  # summed MMD gradient on the target tape's features
-        if visible_sources:
-            scale = 1.0 / len(visible_sources)
-            for vs, vstream in zip(visible_sources, vs_streams):
-                vidx = next(vstream)
-                xs, ys = vs.features[vidx], vs.labels[vidx]
-                tape_s = forward(net, xs)
-                ens_s = mix_probs(wa, tape_s.probs)
-                ce_s, dce_s = _cross_entropy(ens_s, ys)
-                vis_ce_value += scale * ce_s
-                gs = None
-                if mode == "ce+mmd" and lam > 0:
-                    gs, gt = np.empty_like(tape_s.features), np.empty_like(tape.features)
-                    for k, c in enumerate(lam * scale * wa):
-                        mv, gx, gy = mmd_rbf_grad(tape_s.features[k], tape.features[k])
-                        mmd_value += scale * wa[k] * mv
-                        gs[k], gt[k] = c * gx, c * gy
-                    dfeat = gt if dfeat is None else dfeat + gt
-                vis_grads.append(backward(net, tape_s, per_member * (scale * dce_s), gs, classifier=False))
-
-        # one backward through the target tape, carrying its IM/CE probs and MMD
-        # features; the classifier, the last layer, gets no gradient and stays
-        # the source hypothesis
-        grad = backward(net, tape, per_member * dprobs, dfeat, classifier=False)
-        for g in vis_grads:
-            add_gradient(grad, g)
+        vidx = [next(s) for s in vs_streams]
+        visible = [(vs.features[v], vs.labels[v]) for vs, v in zip(visible_sources, vidx)]
+        pseudo = None if pl is None else pl[idx]
+        fields, grad = _adapt_objective(net, wa, cfg, target.features[idx], pseudo, visible, mode)
         sgd_step(net, grad, opt)
-        return {
-            "loss_total": im + cfg.beta_pseudo * ce_value + vis_ce_value + lam * mmd_value,
-            "loss_ce": ce_value + vis_ce_value,
-            "loss_mmd": mmd_value,
-            "loss_im": im,
-        }
+        return fields
 
     return TrainerOutput(models, weights, _drive(net, wa, cfg, eval_set, step, workspace))
 

@@ -31,7 +31,7 @@ from .adapt import (
     train_uda,
 )
 from .datagen import gen_gaussian_blobs, gen_two_moons, load_dataset, read_ascii, save_dataset
-from .errors import NumericError, ParameterError, ShiftLabError, WorkerError
+from .errors import FormatError, NumericError, ParameterError, ShiftLabError, WorkerError
 from .nn import DEFAULT_DEPTH, DEFAULT_HIDDEN, load_model, save_model
 from .records import final_accuracy, write_trajectory
 
@@ -56,7 +56,13 @@ def read_config(path) -> dict:
     config: dict = {}
     first_line: dict = {}  # (section, key) -> the line that set it
     section = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a utf-8 file: byte {exc.start} "
+                             f"is 0x{data[exc.start]:02x}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,6 +157,15 @@ def cmd_train_source(args) -> int:
     return EXIT_OK
 
 
+def _read_weights(path):
+    """`mea.parse_weights` of the weights file at `path`; a format error names the file."""
+    text = read_ascii(path)
+    try:
+        return mea.parse_weights(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _load_weights_arg(args, models):
     """msfda's weights: None (uniform), the --visible datasets (MEA), or a file's."""
     if args.weights in (None, "uniform"):
@@ -158,9 +173,9 @@ def _load_weights_arg(args, models):
     ids = _model_ids(models)
     if args.weights == "mea":
         return _parse_visible(args)
-    est, file_ids = mea.parse_weights(read_ascii(args.weights))
+    est, file_ids = _read_weights(args.weights)
     if sorted(file_ids) != sorted(ids):
-        raise ParameterError(f"weights file is for models {file_ids}, --model gives {ids}")
+        raise ParameterError(f"{args.weights}: weights file is for models {file_ids}, --model gives {ids}")
     by_id = dict(zip(file_ids, est.w_final))
     return np.array([by_id[i] for i in ids])
 
@@ -278,7 +293,7 @@ def cmd_verify(args) -> int:
         model = load_model(args.path)
         print(f"ok model arch={model.meta.get('architecture', '?')}")
     else:
-        est, _ = mea.parse_weights(read_ascii(args.path))
+        est, _ = _read_weights(args.path)
         print(f"ok weights m={len(est.w_final)} fallback={est.fallback}")
     return EXIT_OK
 
@@ -417,7 +432,7 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_WORKER if isinstance(exc, WorkerError) else EXIT_NUMERIC
     # a path the OS refuses (missing, a directory, too long, ...) is a usage error too
-    except (ShiftLabError, OSError, UnicodeDecodeError) as exc:
+    except (ShiftLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

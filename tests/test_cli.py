@@ -254,6 +254,14 @@ class TestConfig:
                    "--trajectory", str(traj)) == 0
         assert len(traj.read_text().splitlines()) == 4
 
+    def test_utf8_config_file_applies(self, tmp_path, moons_file):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes("# r\u00e9glages \u2014 caf\u00e9\n[adapt]\niterations = 7\n".encode("utf-8"))
+        traj = tmp_path / "t.csv"
+        assert run("train-source", "--data", str(moons_file), "--out", str(tmp_path / "m.model"),
+                   "--config", str(cfg), "--trajectory", str(traj)) == 0
+        assert len(traj.read_text().splitlines()) == 8
+
     def test_unknown_key_rejected(self, tmp_path, moons_file):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[adapt]\nlearning_rat = 0.1\n")
@@ -302,7 +310,8 @@ class TestExitCodes:
         "expanded-unread-weights", "train-source-overflow", "estimate-visible-twice",
         "mea-visible-twice", "visible-empty-id", "path-under-a-file", "path-too-long",
         "non-ascii-weights", "msfda-non-ascii-weights", "expanded-source-classes",
-        "non-ascii-model", "sfda-non-ascii-model",
+        "non-ascii-model", "sfda-non-ascii-model", "config-non-utf8", "verify-weights-not-weights",
+        "msfda-weights-not-weights",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -312,6 +321,8 @@ class TestExitCodes:
             "config-negative-seed": "seed = -1\n",
             "config-duplicate-key": "iterations = 3\niterations = 4\n",
         }.get(probe, "learning_rate = fast\n"))
+        non_utf8 = tmp_path / "latin1.cfg"
+        non_utf8.write_bytes(b"[adapt]\n# caf\xe9\niterations = 7\n")
         non_ascii = tmp_path / "data.csv"
         non_ascii.write_bytes(b"\xc3\xa9\n")
         em_space = tmp_path / "em.weights"  # U+2003 between the two w_final numbers
@@ -368,6 +379,13 @@ class TestExitCodes:
             "path-too-long": (("verify", "dataset", str(tmp_path / ("x" * 300))),
                               "File name too long"),
             "config-dir": ((*train, "--config", str(tmp_path)), str(tmp_path)),
+            "config-non-utf8": ((*train, "--config", str(non_utf8)),
+                                f"{non_utf8}: not a utf-8 file: byte 13 is 0xe9"),
+            "verify-weights-not-weights": (("verify", "weights", str(moons_file)),
+                                           f"{moons_file}: not a shiftlab weights file"),
+            "msfda-weights-not-weights": ((*adapt, "--weights", str(moons_file), "--model",
+                                           str(model_a), "--model", str(model_b)),
+                                          f"{moons_file}: not a shiftlab weights file"),
             "non-ascii-dataset": (("verify", "dataset", str(non_ascii)),
                                   f"{non_ascii}: not an ascii file: byte 0 is 0xc3"),
             "non-ascii-weights": (("verify", "weights", str(em_space)), em_ascii),
@@ -386,7 +404,8 @@ class TestExitCodes:
             "dataset-d": (("verify", "dataset", str(bad)), "d=-1"),
             "model-weight": (("verify", "model", str(bad)), "'abc'"),
             "model-layer-dims": (("verify", "model", str(bad)), "line 3"),
-            "weights-missing-id": ((*msfda, "--model", str(model_b)), "['a', 'c']"),
+            "weights-missing-id": ((*msfda, "--model", str(model_b)),
+                                   f"{weights}: weights file is for models ['a', 'c']"),
             "weights-extra-id": ((*msfda, "--model", str(model_b)), "['a', 'b', 'c']"),
             "weights-duplicate-id": ((*msfda, "--model", str(model_b)), "['a', 'a']"),
             "models-duplicate-id": ((*msfda, "--model", str(model_a)), "['a', 'a']"),
@@ -597,8 +616,9 @@ def valid_files(tmp_path_factory):
     }
 
 
-def run_under_contract(argv) -> int:
-    """The exit code of `shiftlab argv`, once it is checked against the exit-code contract."""
+def run_under_contract(argv, names=None) -> int:
+    """The exit code of `shiftlab argv`, once it is checked against the exit-code contract;
+    with `names`, an exit-2 error line must contain it."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -612,20 +632,22 @@ def run_under_contract(argv) -> int:
         assert code == 2 and err.startswith("usage: ") and "error: argument" in err
     elif code:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert names is None or code != 2 or names in err
     else:
         assert err == ""
     return code
 
 
 def check_exit_contract(kind, path):
-    """`verify` exits 0, or 2 with one `error:` line; `read_config` raises only what maps to 2."""
+    """`verify` exits 0, or 2 with one `error:` line that names the file;
+    `read_config` returns a dict or raises a ShiftLabError that names the file."""
     if kind == "config":
         try:
             assert isinstance(cli.read_config(path), dict)
-        except (ShiftLabError, UnicodeDecodeError):
-            pass
+        except ShiftLabError as exc:
+            assert str(path) in str(exc)
         return
-    assert run_under_contract(["verify", kind, str(path)]) in (0, 2)
+    assert run_under_contract(["verify", kind, str(path)], names=str(path)) in (0, 2)
 
 
 KINDS = ["dataset", "model", "weights", "config"]
