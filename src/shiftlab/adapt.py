@@ -141,7 +141,7 @@ def _usable_cpus() -> int:
 def _child_start(parent):
     """A forked child's start (a `bench` pool worker, UDA's helper): SIGINT is the
     parent's (a worker takes it inside a job, `bench._worker_call`); where Linux's
-    prctl is found it dies with the parent, whose pipe or queue it would wait on."""
+    prctl is found it dies with the parent, whose pipe it would wait on."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import functools
 import os
+import pickle
 import re
 import signal
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -129,7 +131,7 @@ def run_scenario(sources: dict, specs: list, seeds) -> list:
         for context, job in jobs:
             try:
                 if isinstance(job, list):  # starts once its seed's models are back
-                    job[3] = _wait(context, lambda: [model().model for model in job[3]])
+                    job[3] = _wait(context, lambda: [model() for model in job[3]])
                     job = submit("_run_spec", *job)
             except Exception:
                 for run in runs:
@@ -150,8 +152,9 @@ def _wait(context, result):
 
 
 def _train_source(build, cfg):
-    """A source training job: builds its one dataset and trains on it."""
-    return train_source(build(), cfg)
+    """A source training job: builds its one dataset and trains on it; returns
+    the model only, the one thing a run reads of it."""
+    return train_source(build(), cfg).model
 
 
 def _run_spec(spec, seed, builds, models, target_seed) -> ExperimentRecord:
@@ -198,43 +201,109 @@ def _worker_call(*job):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _serve(parent, jobs, results):
+    """A pool worker of caller `parent` (started by `_child_start`): `_worker_call`
+    of each job on `jobs` until None, each outcome sent on `results` as
+    `(True, result)` or `(False, exception)`. A job is unpickled inside the
+    `try`, so one that cannot be unpickled here fails as its own error."""
+    _child_start(parent)
+    while True:
+        data = jobs.recv_bytes()
+        try:
+            if (job := pickle.loads(data)) is None:
+                return
+            outcome = True, _worker_call(*job)
+        except BaseException as exc:  # a KeyboardInterrupt too: the caller re-raises it
+            outcome = False, exc
+        results.send(outcome)
+
+
 @contextmanager
 def _pool(n_jobs):
-    """Yield `submit(name, *args)`, which starts `_call` of a job in one of
-    min(n_jobs, usable CPUs) forked workers (below two: inline, when its result is
-    first asked for) and returns a callable waiting for its result. A job runs in
-    the caller's numpy error state, which a worker takes by fork. On an error the
-    jobs not started are cancelled and the workers joined; a job that a dead
-    worker leaves unfinished raises `WorkerError`."""
+    """Yield `submit(name, *args)`, which queues `_call` of a job for one of
+    min(n_jobs, usable CPUs) forked workers (below two: runs it inline, when its
+    result is first asked for) and returns a callable waiting for its result.
+
+    Each worker (`_serve`) has a job pipe and a result pipe, as UDA's helper
+    does, and takes the caller's numpy error state by fork. The caller starts no
+    thread: an idle worker gets the next queued job whenever the caller submits
+    or waits, and it waits on the busy workers' result pipes. A job that a dead
+    worker leaves unfinished, or that is still queued, raises `WorkerError`. On
+    leaving, queued jobs are dropped, running ones finish, and every worker is
+    sent None and joined."""
     cpus = _usable_cpus()
     if min(n_jobs, cpus) < 2:
         yield lambda *job: functools.cache(functools.partial(_call, *job))
         return
     import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    workers, queued, busy = [], deque(), {}  # busy: result pipe -> (job pipe, outcome)
+    broken = False  # a worker died
+    for _ in range(min(n_jobs, cpus)):
+        jobs, to_worker = ctx.Pipe(duplex=False)
+        from_worker, results = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_serve, args=(os.getpid(), jobs, results))
+        process.start()
+        jobs.close()
+        results.close()
+        workers.append((process, to_worker, from_worker))
+    idle = [(to_worker, from_worker) for _, to_worker, from_worker in workers]
+
+    def dispatch():
+        while queued and idle and not broken:
+            job, outcome = queued.popleft()
+            try:
+                data = pickle.dumps(job)
+            except Exception as exc:  # the job does not pickle
+                outcome[:] = False, exc
+                continue
+            to_worker, from_worker = idle.pop()
+            with suppress(OSError):  # a dead worker's result pipe reads EOF
+                to_worker.send_bytes(data)
+            busy[from_worker] = to_worker, outcome
+
+    def collect():
+        nonlocal broken
+        for conn in wait(list(busy)):
+            to_worker, outcome = busy.pop(conn)
+            try:
+                outcome[:] = conn.recv()
+            except EOFError:
+                broken = True
+            idle.append((to_worker, conn))
+        dispatch()
 
     def submit(*job):
-        try:
-            future = pool.submit(_worker_call, *job)
-        except BrokenProcessPool as exc:
-            (future := Future()).set_exception(exc)
+        outcome = []
+        queued.append((job, outcome))
+        dispatch()
 
         def result():
-            try:
-                return future.result()
-            except BrokenProcessPool:
+            while not (outcome or broken):
+                collect()
+            if not outcome:
                 what = "source training" if job[0] == "_train_source" else "run"
-                raise WorkerError(f"a worker process ended abruptly before its {what} finished") from None
+                raise WorkerError(f"a worker process ended abruptly before its {what} finished")
+            ok, value = outcome
+            if not ok:
+                raise value
+            return value
         return result
 
-    with ProcessPoolExecutor(min(n_jobs, cpus), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_child_start, initargs=(os.getpid(),)) as pool:
-        try:
-            yield submit
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    try:
+        yield submit
+    finally:
+        queued.clear()
+        while busy:
+            collect()
+        for process, to_worker, from_worker in workers:
+            with suppress(OSError):  # a dead worker reads nothing more
+                to_worker.send(None)
+            to_worker.close()
+            from_worker.close()
+            process.join()
 
 
 def iterations_to_convergence(

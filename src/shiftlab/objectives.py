@@ -162,6 +162,7 @@ def _mmd_blocks(X, Y, bandwidths):
     if scratch is None or scratch.size < size * size:
         scratch = _scratch.pooled = np.empty(size * size)
     sq = _sq_dists(pooled, pooled, out=scratch[: size * size].reshape(size, size))
+    del pooled  # freed before the median's gather
     if bandwidths is None:
         bandwidths = median_bandwidths(sq)
     return X, Y, np.asarray(bandwidths, dtype=np.float64), (sq[:n, :n], sq[n:, n:], sq[:n, n:])

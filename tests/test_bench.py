@@ -515,6 +515,46 @@ class TestWorkers:
                               text=True, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
+    def test_a_caller_starts_no_thread_and_never_imports_the_executor(self):
+        script = (
+            "import os, sys, threading\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "started, start = [], threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "from shiftlab.adapt import AdaptationConfig\n"
+            "from shiftlab.bench import MoonsRecipe, ScenarioSpec, run_scenario\n"
+            "cfg = AdaptationConfig(iterations=5, learning_rate=0.01)\n"
+            "specs = [ScenarioSpec('tiny', p, MoonsRecipe(n=60, rotation=20.0), cfg)\n"
+            "         for p in ('uda', 'msfda-mea')]\n"
+            "run_scenario({'a': MoonsRecipe(n=60)}, specs, [0, 1])\n"
+            "print(bool(started), 'concurrent.futures' in sys.modules)\n"
+        )
+        src = str(Path(shiftlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
+
+    @pytest.mark.parametrize("side", ["caller", "worker"])
+    def test_a_job_that_cannot_be_pickled_fails_as_its_runs_error(self, monkeypatch, side):
+        class Local(MoonsRecipe):  # the caller cannot pickle an instance of a local class
+            pass
+
+        def renamed(recipe, seed, domain_id):  # pickles as `recipe.renamed`, which no worker has
+            return build(recipe, seed, domain_id)
+
+        build = MoonsRecipe.build
+        if side == "caller":
+            source, error = Local(n=60), "Can't pickle local object"
+        else:
+            monkeypatch.setattr(MoonsRecipe, "build", renamed)
+            source, error = MoonsRecipe(n=60), "'MoonsRecipe' object has no attribute 'renamed'$"
+        _usable_cpus(monkeypatch, 2)
+        spec = ScenarioSpec("tiny", "sfda", MoonsRecipe(n=60, rotation=20.0), TINY)
+        with pytest.raises(Exception, match=r"^scenario 'tiny' \(paradigm sfda, seed 0\): " + error):
+            run_scenario({"a": source}, [spec], [0, 1])
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_source_that_cannot_build_fails_the_first_run_reading_it(self, monkeypatch,
                                                                         cpus):
