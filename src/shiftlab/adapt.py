@@ -138,16 +138,33 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _child_start(parent):
-    """A forked child's start (a `bench` pool worker, UDA's helper): SIGINT is the
-    parent's (a worker takes it inside a job, `bench._worker_call`); where Linux's
-    prctl is found it dies with the parent, whose pipe it would wait on."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-        if os.getppid() != parent:  # the parent died before the line above
-            os._exit(1)
+def _fork(target, *args):
+    """Start `target(*args, jobs, results)` in a forked child (a `bench` pool
+    worker, UDA's helper) and return `(process, to_child, from_child)`, the
+    parent's ends of the `jobs` and `results` pipes. The child ignores SIGINT,
+    the parent's (a pool worker takes it inside a job, `bench._serve`); where
+    Linux's prctl is found it dies with the parent, whose pipe it would wait on."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    jobs, to_child = ctx.Pipe(duplex=False)
+    from_child, results = ctx.Pipe(duplex=False)
+    parent = os.getpid()
+
+    def start():
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+            if os.getppid() != parent:  # the parent died before the line above
+                os._exit(1)
+        target(*args, jobs, results)
+
+    process = ctx.Process(target=start)
+    process.start()
+    jobs.close()
+    results.close()
+    return process, to_child, from_child
 
 
 def _full_mmd(model, source, target) -> float:
@@ -155,11 +172,10 @@ def _full_mmd(model, source, target) -> float:
     return mmd_full(forward(model, source.features).features, forward(model, target.features).features)
 
 
-def _diagnose(parent, source, target, snapshots, results) -> None:
-    """Helper process of trainer `parent` (started by `_child_start`): `_full_mmd`
-    of each `(iteration, model)` snapshot until None, then send `{iteration: mmd}`,
-    or the first exception, on `results`."""
-    _child_start(parent)
+def _diagnose(source, target, snapshots, results) -> None:
+    """UDA's helper process (started by `_fork`): `_full_mmd` of each
+    `(iteration, model)` snapshot until None, then send `{iteration: mmd}`, or
+    the first exception, on `results`."""
     values = {}
     try:
         while (item := snapshots.recv()) is not None:
@@ -186,15 +202,7 @@ def _diagnostics(source, target, values):
 
         yield diagnose
         return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    snapshots, to_helper = ctx.Pipe(duplex=False)
-    from_helper, results = ctx.Pipe(duplex=False)
-    helper = ctx.Process(target=_diagnose, args=(os.getpid(), source, target, snapshots, results))
-    helper.start()
-    snapshots.close()
-    results.close()
+    helper, to_helper, from_helper = _fork(_diagnose, source, target)
 
     def receive():
         try:

@@ -9,7 +9,6 @@ Iteration counts are mini-batch steps.
 from __future__ import annotations
 
 import functools
-import os
 import pickle
 import re
 import signal
@@ -23,8 +22,8 @@ import numpy as np
 from .adapt import (
     AdaptationConfig,
     TrainerOutput,
-    _child_start,
     _ensemble_accuracy,
+    _fork,
     _usable_cpus,
     train_expanded_base,
     train_msfda,
@@ -192,27 +191,22 @@ def _call(name, *args):
     return globals()[name](*args)
 
 
-def _worker_call(*job):
-    """`_call` in a pool worker, where SIGINT raises KeyboardInterrupt inside a job only."""
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        return _call(*job)
-    finally:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _serve(parent, jobs, results):
-    """A pool worker of caller `parent` (started by `_child_start`): `_worker_call`
-    of each job on `jobs` until None, each outcome sent on `results` as
-    `(True, result)` or `(False, exception)`. A job is unpickled inside the
-    `try`, so one that cannot be unpickled here fails as its own error."""
-    _child_start(parent)
+def _serve(jobs, results):
+    """A pool worker (started by `_fork`): `_call` of each job on `jobs` until
+    None, each outcome sent on `results` as `(True, result)` or `(False,
+    exception)`. SIGINT raises KeyboardInterrupt inside a job only. A job is
+    unpickled inside the `try`, so one that cannot be unpickled here fails as
+    its own error."""
     while True:
         data = jobs.recv_bytes()
         try:
             if (job := pickle.loads(data)) is None:
                 return
-            outcome = True, _worker_call(*job)
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            try:
+                outcome = True, _call(*job)
+            finally:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
         except BaseException as exc:  # a KeyboardInterrupt too: the caller re-raises it
             outcome = False, exc
         results.send(outcome)
@@ -224,8 +218,8 @@ def _pool(n_jobs):
     min(n_jobs, usable CPUs) forked workers (below two: runs it inline, when its
     result is first asked for) and returns a callable waiting for its result.
 
-    Each worker (`_serve`) has a job pipe and a result pipe, as UDA's helper
-    does, and takes the caller's numpy error state by fork. The caller starts no
+    Each worker (`_serve`) is started by `_fork` with a job pipe and a result
+    pipe, and takes the caller's numpy error state by fork. The caller starts no
     thread: an idle worker gets the next queued job whenever the caller submits
     or waits, and it waits on the busy workers' result pipes. A job that a dead
     worker leaves unfinished, or that is still queued, raises `WorkerError`. On
@@ -235,20 +229,11 @@ def _pool(n_jobs):
     if min(n_jobs, cpus) < 2:
         yield lambda *job: functools.cache(functools.partial(_call, *job))
         return
-    import multiprocessing
     from multiprocessing.connection import wait
 
-    ctx = multiprocessing.get_context("fork")
-    workers, queued, busy = [], deque(), {}  # busy: result pipe -> (job pipe, outcome)
+    workers = [_fork(_serve) for _ in range(min(n_jobs, cpus))]
+    queued, busy = deque(), {}  # busy: result pipe -> (job pipe, outcome)
     broken = False  # a worker died
-    for _ in range(min(n_jobs, cpus)):
-        jobs, to_worker = ctx.Pipe(duplex=False)
-        from_worker, results = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_serve, args=(os.getpid(), jobs, results))
-        process.start()
-        jobs.close()
-        results.close()
-        workers.append((process, to_worker, from_worker))
     idle = [(to_worker, from_worker) for _, to_worker, from_worker in workers]
 
     def dispatch():

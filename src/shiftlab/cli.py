@@ -9,6 +9,15 @@ traceback is on stderr), 130 interrupted (Ctrl-C). `bench` takes --seeds or
 
 from __future__ import annotations
 
+import os
+
+# BLAS reads its thread count when numpy is first imported. On these small
+# matrices more threads mostly spend CPU time, so the CLI runs BLAS on one
+# thread unless one of the three variables is set.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 import argparse
 import functools
 import hashlib

@@ -35,8 +35,7 @@ class WeightEstimate:
         self.w_t = np.asarray(self.w_t, dtype=np.float64)
         self.w_raw = np.asarray(self.w_raw, dtype=np.float64)
         self.w_final = np.asarray(self.w_final, dtype=np.float64)
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
+        _check_lambda(self.lam)
         if self.fallback != (self.w_s is None):
             raise ParameterError("fallback must be set exactly when w_s is absent")
         if self.w_s is not None:
@@ -52,6 +51,12 @@ class WeightEstimate:
             raise ParameterError(f"w_raw must sum to {expected}, got {self.w_raw.sum()}")
         if int(np.argmax(self.w_final)) != int(np.argmax(self.w_raw)):
             raise ParameterError("normalization must preserve the argmax of w_raw")
+
+
+def _check_lambda(lam: float) -> None:
+    """The one rule for MEA's lambda: finite and non-negative."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def _check_simplex(v: np.ndarray, name: str) -> None:
@@ -127,6 +132,7 @@ def confidence_weights(
 
 def combine_weights(w_t, w_s, lam: float) -> WeightEstimate:
     """w_raw = w_t + lam * w_s, renormalized by (1 + lam) onto the simplex."""
+    _check_lambda(lam)
     w_t = np.asarray(w_t, dtype=np.float64)
     if w_s is None:
         return WeightEstimate(None, w_t, lam, w_t.copy(), w_t.copy(), fallback=True)

@@ -758,6 +758,20 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
 
+def test_only_adapt_fork_starts_a_child_process():
+    # the pool workers and UDA's helper share one start: no other function in
+    # shiftlab takes a fork context or makes a Pipe or a Process
+    forking = {"get_context", "Pipe", "Process"}
+    calls = set()  # (module, its top-level statement's name, the call)
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for call in ast.walk(stmt):
+                if isinstance(call, ast.Call):
+                    if (name := ast.unparse(call.func).rsplit(".", 1)[-1]) in forking:
+                        calls.add((path.stem, getattr(stmt, "name", None), name))
+    assert calls == {("adapt", "_fork", name) for name in forking}
+
+
 class TestSuiteGuards:
     def test_overfitting_rejects_empty_seeds(self):
         with pytest.raises(ParameterError, match="need at least one seed"):

@@ -1,4 +1,5 @@
-"""Every byte shiftlab writes is independent of the BLAS thread count.
+"""Every byte shiftlab writes is independent of the BLAS thread count, and
+the CLI runs BLAS on one thread unless one of its variables is set.
 
 A short CLI pipeline (gen, train-source, estimate, adapt msfda and adapt
 expanded ce+mmd), and a one-seed `bench` whose runs go to forked worker
@@ -8,10 +9,13 @@ numpy is first imported. Trajectory files are compared without their
 wall-clock `ms` column.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import shiftlab
 
@@ -74,3 +78,49 @@ def test_bench_reports_equal_at_one_and_two_blas_threads(tmp_path):
     assert len(one) == 1 + 3 + 2  # stdout, three runs, summary.txt and summary.report
     for name in one:
         assert one[name] == two[name], name
+
+
+# OpenBLAS's thread count after `import shiftlab.cli` (None where no OpenBLAS
+# symbol is found, as in perfbench's `blas_info`), then the three variables
+BLAS_PROBE = """
+import ctypes, json, os, sys
+import shiftlab.cli
+
+threads = None
+with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+    libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if threads is None and hasattr(lib, sym):
+            getattr(lib, sym).restype = ctypes.c_int
+            threads = getattr(lib, sym)()
+print(json.dumps([threads, {var: os.environ.get(var) for var in sys.argv[1:]}]))
+"""
+
+
+def import_cli(**blas_env):
+    """`import shiftlab.cli` in a fresh interpreter whose only BLAS variables
+    are `blas_env`: OpenBLAS's thread count, and the variables after it."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env, PYTHONPATH=str(Path(shiftlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, *BLAS_THREAD_VARS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc")
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise():
+    threads, env = import_cli()
+    assert env == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    if threads is None:
+        pytest.skip("no OpenBLAS symbol found")
+    assert threads == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc")
+def test_a_blas_variable_the_user_set_is_kept():
+    _, env = import_cli(OMP_NUM_THREADS="3")
+    assert env == {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}

@@ -311,7 +311,7 @@ class TestExitCodes:
         "mea-visible-twice", "visible-empty-id", "path-under-a-file", "path-too-long",
         "non-ascii-weights", "msfda-non-ascii-weights", "expanded-source-classes",
         "non-ascii-model", "sfda-non-ascii-model", "config-non-utf8", "verify-weights-not-weights",
-        "msfda-weights-not-weights",
+        "msfda-weights-not-weights", "estimate-lambda-minus-1", "estimate-lambda-inf",
     ])
     def test_bad_value_or_unreadable_path_is_usage_error(self, tmp_path, moons_file,
                                                          capsys, probe):
@@ -365,6 +365,9 @@ class TestExitCodes:
         save_dataset(load_dataset(moons_file).unlabeled(), unlabeled)
         target, source = ("--target", str(moons_file)), ("--source-data", str(moons_file))
         twice = ("--visible", f"a={moons_file}", "--visible", f"a={moons_file}")
+        estimate = ("estimate", "--model", str(model_a), "--model", str(model_b), *target,
+                    "--visible", f"a={moons_file}", "--visible", f"b={moons_file}",
+                    "--out", str(weights))  # two models, each scored on the other's domain
         blobs = tmp_path / "blobs.csv"
         save_dataset(gen_gaussian_blobs(120, 3, 2, 6.0, [0.3, 0.3, 0.4]), blobs)
         argv, needle = {  # needle: what the one-line error must name
@@ -468,6 +471,10 @@ class TestExitCodes:
                                         "paradigm 'expanded' does not read --weights"),
             "train-source-overflow": ((*train, "--learning-rate", "1e308", "--iterations", "3"),
                                       "overflow encountered"),
+            "estimate-lambda-minus-1": ((*estimate, "--lambda=-1"),
+                                        "lambda must be finite and >= 0, got -1.0"),
+            "estimate-lambda-inf": ((*estimate, "--lambda=inf"),
+                                    "lambda must be finite and >= 0, got inf"),
             "estimate-visible-twice": (("estimate", "--model", str(model_a), "--model",
                                         str(model_b), "--target", str(moons_file), *twice,
                                         "--out", str(weights)), "domain 'a' given twice"),

@@ -159,8 +159,9 @@ class TestCombineWeights:
         assert np.allclose(est.w_final, w_t, atol=1e-12)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            combine_weights(np.array([0.5, 0.5]), np.array([0.5, 0.5]), -0.5)
+        for lam in (-0.5, -1.0, np.inf, -np.inf):  # -1 divides by zero, +-inf by inf
+            with pytest.raises(ParameterError, match="^lambda must be finite and >= 0"):
+                combine_weights(np.array([0.5, 0.5]), np.array([0.5, 0.5]), lam)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ParameterError):
